@@ -1,12 +1,13 @@
 """Blocked Gray-code enumeration kernel.
 
-Exhaustive statistics over ``{-1,+1}^n`` all walk the hypercube the same way:
-the low ``b`` coordinates form one vectorized block of ``2**b`` columns, and
-the remaining high coordinates follow a reflected Gray code, so moving to the
-next block costs a single rank-one update of the block image.  Everything
-here is deterministic: fixed block layout, fixed visit order, and (for the
-Monte Carlo helpers) one counter-based Philox substream per block, which
-makes results independent of how blocks are dispatched to threads.
+Every exhaustive statistic over ``{-1,+1}^n`` walks the hypercube through
+:func:`iter_sign_blocks`: the low ``b`` coordinates form one vectorized block
+of ``2**b`` columns whose image is computed once, and the remaining high
+coordinates follow a reflected Gray code, each block adding the image of the
+current high coordinates to that fixed low image.  Everything here is
+deterministic: fixed block layout, fixed visit order, and (for the Monte
+Carlo helpers) one counter-based Philox substream per block, which makes
+results independent of how blocks are dispatched to threads.
 """
 
 from __future__ import annotations
@@ -46,36 +47,56 @@ def low_members(b: int) -> np.ndarray:
     return bits.astype(np.float64)
 
 
-def iter_sign_blocks(m: np.ndarray, low_bits: int = LOW_BITS) -> Iterator[tuple[np.ndarray, int, int]]:
+def iter_sign_blocks(
+    m: np.ndarray,
+    low_bits: int = LOW_BITS,
+    *,
+    half: bool = False,
+    members: bool = False,
+) -> Iterator[tuple[np.ndarray, int, int]]:
     """Yield ``(y, high_gray, high_parity)`` blocks covering ``M @ x`` for all x.
 
     ``y`` has shape ``(rows, 2**b)``; its column ``c`` is ``M @ x`` for the
-    sign vector with bitmask ``(high_gray << b) | c``.  ``high_parity`` is the
-    product of the high-coordinate signs.  ``y`` is updated in place between
-    yields, so consumers must finish with a block before advancing.
+    sign vector with bitmask ``(high_gray << b) | c`` (bit set means -1).
+    ``high_parity`` is the product of the high-coordinate signs.
+
+    ``half=True`` walks only the vectors whose last coordinate is +1, one of
+    each pair ``{x, -x}``.  ``members=True`` replaces every sign ``1 - 2*bit``
+    by the 0/1 membership ``bit``, so ``y`` holds column subset sums.
+
+    Each block is ``low + offset``: the low image is computed once and the
+    offset of the high coordinates is recomputed from their current values,
+    so every block is exact to a few ulps however long the walk.  ``y`` is
+    one scratch buffer rewritten at each step; consumers may overwrite it
+    but must finish with a block before advancing.
     """
     rows, n = m.shape
     if n > ENUMERATION_CAP:
         raise CapacityError(f"exhaustive enumeration is capped at n={ENUMERATION_CAP}, got {n}")
-    b = min(n, low_bits)
-    y = m[:, :b] @ low_signs(b)
-    if n > b:
-        y += m[:, b:].sum(axis=1)[:, None]
-    yield y, 0, 1
-
-    doubled = 2.0 * m[:, b:]
-    sign = np.ones(n - b)
+    walked = n - 1 if half else n
+    b = min(walked, low_bits)
+    if members:
+        low, clear, flip = m[:, :b] @ low_members(b), 0.0, 1.0
+    else:
+        low, clear, flip = m[:, :b] @ low_signs(b), 1.0, -1.0
+    high = np.ascontiguousarray(m[:, b:])
+    values = np.full(n - b, clear)  # current value of each high coordinate
+    offset = high @ values
+    y = np.empty_like(low)
+    # row by row: adding a scalar to a contiguous row is about twice as fast
+    # as numpy's broadcast of a (rows, 1) column over the block
+    row_pairs = list(zip(low, y))
     gray = 0
     parity = 1
-    for k in range(1, 1 << (n - b)):
-        j = (k & -k).bit_length() - 1
-        gray ^= 1 << j
-        parity = -parity
-        if sign[j] > 0:
-            y -= doubled[:, j][:, None]
-        else:
-            y += doubled[:, j][:, None]
-        sign[j] = -sign[j]
+    for k in range(1 << (walked - b)):
+        if k:
+            j = (k & -k).bit_length() - 1
+            gray ^= 1 << j
+            parity = -parity
+            values[j] = clear + flip - values[j]
+            np.dot(high, values, out=offset)
+        for (lo, out), o in zip(row_pairs, offset.tolist()):
+            np.add(lo, o, out=out)
         yield y, gray, parity
 
 
@@ -106,6 +127,12 @@ def modal_signed_sum(a: np.ndarray, group_tol: float) -> tuple[int, np.ndarray, 
     best_count = max(counts.values())
     best_key = min(k for k, c in counts.items() if c == best_count)
     return best_count, reps[best_key], total
+
+
+def mc_rows(n: int) -> int:
+    """Sample rows per Monte Carlo block, keeping each block's arrays around
+    32 MB however wide the matrix is."""
+    return max(1, min(MC_BLOCK, (1 << 22) // max(n, 1)))
 
 
 def num_blocks(samples: int, block: int = MC_BLOCK) -> int:

@@ -253,11 +253,12 @@ def selector_matrix(n: int, targets) -> ConstructionCertificate:
 
 
 def _zero_sum_probability(t: np.ndarray, tol: float) -> float:
-    # fraction of sign vectors orthogonal to t, by direct enumeration
+    # fraction of sign vectors orthogonal to t, by direct enumeration of the
+    # half with x_n = +1 (|t . x| is invariant under x -> -x)
     hits = 0
-    for y, _, _ in _kernel.iter_sign_blocks(t[None, :]):
-        hits += int(np.count_nonzero(np.abs(y[0]) <= tol))
-    return hits / (1 << t.size)
+    for y, _, _ in _kernel.iter_sign_blocks(t[None, :], half=True):
+        hits += int(np.count_nonzero(np.abs(y[0], out=y[0]) <= tol))
+    return 2 * hits / (1 << t.size)
 
 
 def rank_one_orthogonal(n: int, t) -> ConstructionCertificate:

@@ -27,7 +27,9 @@ from .core import (
     is_column_stochastic,
 )
 
-#: The expectation-identity enumeration is pricier per step than Ryser's walk.
+#: Cap on the exact expectation-identity walk.  Its half-cube walk costs less
+#: than Ryser's full walk at equal n, so this cap, below ``ENUMERATION_CAP``,
+#: is not a runtime limit.
 BERNOULLI_EXACT_CAP = 25
 
 #: Permutation-sum oracle cap (10! terms).
@@ -58,36 +60,20 @@ class PermanentReport:
 def ryser_value(m) -> float:
     """Exact permanent by Ryser's formula, as a bare float.
 
-    Subsets of columns are walked in Gray-code order with the low twelve
-    columns batched into one vectorized block; block partial sums are reduced
-    with exact float summation.  Capped at ``n <= 30`` (runtime grows as
-    ``2**n``, so the top of that range is hours, not seconds).
+    Column subsets are walked by the shared Gray-code kernel in its 0/1
+    membership form, the low twelve columns batched into one vectorized
+    block; block partial sums are reduced with exact float summation.
+    Capped at ``n <= 30``; runtime grows as ``2**n``, so the top of that
+    range takes tens of seconds.
     """
     arr = as_matrix(m, square=True)
     n = arr.shape[0]
     if n > ENUMERATION_CAP:
         raise CapacityError(f"Ryser enumeration is capped at n={ENUMERATION_CAP}, got {n}")
-    b = min(n, _kernel.LOW_BITS)
-    members = _kernel.low_members(b)
-    plow = _kernel.low_sign_parity(b)  # (-1)**|S| over the low columns
-    base = arr[:, :b] @ members       # (n, 2**b) row sums over low subsets
-
+    plow = _kernel.low_sign_parity(min(n, _kernel.LOW_BITS))  # (-1)**|S| over the low columns
     parts = []
-    v = np.zeros((n, 1))
-    parity = 1.0
-    parts.append(parity * float(plow @ np.prod(base + v, axis=0)))
-    nhigh = n - b
-    included = np.zeros(nhigh, dtype=bool)
-    for k in range(1, 1 << nhigh):
-        j = (k & -k).bit_length() - 1
-        col = arr[:, b + j][:, None]
-        if included[j]:
-            v = v - col
-        else:
-            v = v + col
-        included[j] = not included[j]
-        parity = -parity
-        parts.append(parity * float(plow @ np.prod(base + v, axis=0)))
+    for y, _, parity in _kernel.iter_sign_blocks(arr, members=True):
+        parts.append(parity * float(plow @ np.prod(y, axis=0)))
     return math.fsum(parts) * (1.0 if n % 2 == 0 else -1.0)
 
 
@@ -136,8 +122,10 @@ def bernoulli_permanent(
     """Permanent via the identity ``per(M) = E[prod_i x_i (Mx)_i]``.
 
     The expectation runs over uniform sign vectors ``x``.  Exact mode
-    enumerates all of them (``n <= 25``); mc mode averages over samples and
-    reports the empirical standard error.
+    enumerates them (``n <= 25``); the summand is invariant under
+    ``x -> -x``, so it walks the half with ``x_n = +1``, which is Glynn's
+    formula.  mc mode averages over samples and reports the empirical
+    standard error.
     """
     arr = as_matrix(m, square=True)
     n = arr.shape[0]
@@ -146,12 +134,11 @@ def bernoulli_permanent(
             raise CapacityError(
                 f"exact expectation enumeration is capped at n={BERNOULLI_EXACT_CAP}, got {n}"
             )
-        b = min(n, _kernel.LOW_BITS)
-        plow = _kernel.low_sign_parity(b)
+        plow = _kernel.low_sign_parity(min(n - 1, _kernel.LOW_BITS))
         parts = []
-        for y, _, parity in _kernel.iter_sign_blocks(arr):
+        for y, _, parity in _kernel.iter_sign_blocks(arr, half=True):
             parts.append(parity * float(plow @ np.prod(y, axis=0)))
-        return PermanentReport(math.fsum(parts) / (1 << n), "bernoulli_exact")
+        return PermanentReport(math.fsum(parts) / (1 << (n - 1)), "bernoulli_exact")
 
     if mode != "mc":
         raise PreconditionError(f"mode must be 'exact' or 'mc', got {mode!r}")
@@ -159,7 +146,7 @@ def bernoulli_permanent(
         raise PreconditionError("mc mode requires both samples and seed")
     samples = _kernel.check_samples(samples)
     seed = _kernel.check_seed(seed)
-    block = max(1, min(_kernel.MC_BLOCK, (1 << 22) // max(n, 1)))
+    block = _kernel.mc_rows(n)
     mt = arr.T.copy()
 
     def one_block(i: int) -> tuple[float, float]:
@@ -198,7 +185,7 @@ def balls_in_bins_estimate(
     seed = _kernel.check_seed(seed)
     n = arr.shape[0]
     cdf = np.cumsum(arr, axis=0)
-    block = max(1, min(_kernel.MC_BLOCK, (1 << 22) // max(n, 1)))
+    block = _kernel.mc_rows(n)
 
     def one_block(i: int) -> int:
         rows = min(block, samples - i * block)

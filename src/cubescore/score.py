@@ -75,8 +75,16 @@ class ThresholdScoreReport:
         }
 
 
+#: Sign vectors per matrix product in the naive oracle.
+_NAIVE_CHUNK = 4096
+
+
 def _membership_hits(y: np.ndarray, tol: float) -> np.ndarray:
-    return np.abs(np.abs(y) - 1.0).max(axis=0) <= tol
+    # overwrites the scratch block y with ||y| - 1|
+    np.abs(y, out=y)
+    np.subtract(y, 1.0, out=y)
+    np.abs(y, out=y)
+    return y.max(axis=0) <= tol
 
 
 def _check_square(m) -> np.ndarray:
@@ -92,15 +100,17 @@ def _check_tol(tol: float) -> float:
 def exact_score(m, tol: float = DEFAULT_TOLERANCES.membership_tol) -> ScoreReport:
     """Exhaustive hit score over all ``2**n`` sign vectors.
 
-    A vector counts as a hit when ``max_i ||(Mx)_i| - 1| <= tol``.  Capped at
-    ``n <= 30``.
+    A vector counts as a hit when ``max_i ||(Mx)_i| - 1| <= tol``.  The rule
+    is invariant under ``x -> -x``, so half the cube is walked and the count
+    doubled.  Capped at ``n <= 30``.
     """
     arr = _check_square(m)
     tol = _check_tol(tol)
     n = arr.shape[0]
     hits = 0
-    for y, _, _ in _kernel.iter_sign_blocks(arr):
+    for y, _, _ in _kernel.iter_sign_blocks(arr, half=True):
         hits += int(np.count_nonzero(_membership_hits(y, tol)))
+    hits *= 2
     total = 1 << n
     return ScoreReport(hits, total, hits / total, 0.0, "exact", tol)
 
@@ -110,20 +120,15 @@ def exact_hit_indices(m, tol: float = DEFAULT_TOLERANCES.membership_tol) -> np.n
     arr = _check_square(m)
     tol = _check_tol(tol)
     n = arr.shape[0]
-    b = min(n, _kernel.LOW_BITS)
     found = []
-    for y, gray, _ in _kernel.iter_sign_blocks(arr):
+    for y, gray, _ in _kernel.iter_sign_blocks(arr, half=True):
         mask = _membership_hits(y, tol)
         if mask.any():
-            found.append((gray << b) | np.nonzero(mask)[0])
+            found.append(gray * mask.size + np.nonzero(mask)[0])
     if not found:
         return np.empty(0, dtype=np.int64)
-    return np.sort(np.concatenate(found).astype(np.int64))
-
-
-def _mc_rows(n: int) -> int:
-    # keep per-block sample arrays around 32 MB however wide the matrix is
-    return max(1, min(_kernel.MC_BLOCK, (1 << 22) // max(n, 1)))
+    half = np.concatenate(found).astype(np.int64)
+    return np.sort(np.concatenate([half, half ^ ((1 << n) - 1)]))
 
 
 def mc_score(
@@ -144,7 +149,7 @@ def mc_score(
     samples = _kernel.check_samples(samples)
     seed = _kernel.check_seed(seed)
     n = arr.shape[0]
-    block = _mc_rows(n)
+    block = _kernel.mc_rows(n)
     mt = arr.T.copy()
 
     def one_block(i: int) -> int:
@@ -170,7 +175,8 @@ def threshold_score(
 ) -> ThresholdScoreReport:
     """Probability that ``prod_i |(Mx)_i| >= theta`` over sign vectors.
 
-    ``mode`` is ``"exact"`` (exhaustive, ``n <= 30``) or ``"mc"``.
+    ``mode`` is ``"exact"`` (exhaustive, ``n <= 30``; the statistic is
+    invariant under ``x -> -x``, so half the cube is walked) or ``"mc"``.
     """
     arr = _check_square(m)
     if not (0.0 < theta <= 1.0):
@@ -178,8 +184,10 @@ def threshold_score(
     n = arr.shape[0]
     if mode == "exact":
         hits = 0
-        for y, _, _ in _kernel.iter_sign_blocks(arr):
-            hits += int(np.count_nonzero(np.prod(np.abs(y), axis=0) >= theta))
+        for y, _, _ in _kernel.iter_sign_blocks(arr, half=True):
+            np.abs(y, out=y)
+            hits += int(np.count_nonzero(np.prod(y, axis=0) >= theta))
+        hits *= 2
         total = 1 << n
         return ThresholdScoreReport(hits, total, hits / total, 0.0, "exact", 0.0, float(theta))
     if mode != "mc":
@@ -188,7 +196,7 @@ def threshold_score(
         raise PreconditionError("mc mode requires both samples and seed")
     samples = _kernel.check_samples(samples)
     seed = _kernel.check_seed(seed)
-    block = _mc_rows(n)
+    block = _kernel.mc_rows(n)
     mt = arr.T.copy()
 
     def one_block(i: int) -> int:
@@ -221,35 +229,32 @@ def product_statistic(m, x) -> float:
 
 
 def naive_exact_score(m, tol: float = DEFAULT_TOLERANCES.membership_tol) -> ScoreReport:
-    """Reference implementation: one dense matvec per sign vector.
+    """Reference implementation: every ``M @ x`` computed directly.
 
     Kept deliberately independent of the blocked kernel so the two can be
     cross-checked hit for hit; capped at ``n <= 20`` for runtime reasons.
+    """
+    arr = _check_square(m)
+    hits = int(naive_hit_indices(arr, tol).size)
+    total = 1 << arr.shape[0]
+    return ScoreReport(hits, total, hits / total, 0.0, "exact", float(tol))
+
+
+def naive_hit_indices(m, tol: float = DEFAULT_TOLERANCES.membership_tol) -> np.ndarray:
+    """Reference hit set matching :func:`naive_exact_score`.
+
+    Walks the bitmasks in plain counting order, building each sign vector
+    from its bits and multiplying it out, a few thousand vectors per matrix
+    product; nothing is carried over from one vector to the next.
     """
     arr = _check_square(m)
     tol = _check_tol(tol)
     n = arr.shape[0]
     if n > 20:
         raise CapacityError(f"naive score walk is capped at n=20, got {n}")
-    hits = 0
-    for bits in range(1 << n):
-        x = 1.0 - 2.0 * ((bits >> np.arange(n)) & 1)
-        if np.abs(np.abs(arr @ x) - 1.0).max() <= tol:
-            hits += 1
-    total = 1 << n
-    return ScoreReport(hits, total, hits / total, 0.0, "exact", tol)
-
-
-def naive_hit_indices(m, tol: float = DEFAULT_TOLERANCES.membership_tol) -> np.ndarray:
-    """Reference hit set matching :func:`naive_exact_score`."""
-    arr = _check_square(m)
-    tol = _check_tol(tol)
-    n = arr.shape[0]
-    if n > 20:
-        raise CapacityError(f"naive score walk is capped at n=20, got {n}")
     out = []
-    for bits in range(1 << n):
-        x = 1.0 - 2.0 * ((bits >> np.arange(n)) & 1)
-        if np.abs(np.abs(arr @ x) - 1.0).max() <= tol:
-            out.append(bits)
-    return np.asarray(out, dtype=np.int64)
+    for start in range(0, 1 << n, _NAIVE_CHUNK):
+        bits = np.arange(start, min(start + _NAIVE_CHUNK, 1 << n))
+        x = 1.0 - 2.0 * ((bits[None, :] >> np.arange(n)[:, None]) & 1)
+        out.append(bits[np.abs(np.abs(arr @ x) - 1.0).max(axis=0) <= tol])
+    return np.concatenate(out).astype(np.int64)

@@ -80,6 +80,15 @@ def test_bernoulli_exact_spans_the_low_block_boundary(rng):
     assert rep.value == pytest.approx(ryser_value(m), rel=1e-9, abs=1e-12)
 
 
+def test_exact_walks_match_naive_for_every_small_n(rng):
+    # n = 1 leaves the half-cube walk no free coordinate at all
+    for n in range(1, 11):
+        m = rng.normal(size=(n, n))
+        v = naive_value(m)
+        assert ryser_value(m) == pytest.approx(v, rel=1e-11, abs=1e-11)
+        assert bernoulli_permanent(m).value == pytest.approx(v, rel=1e-11, abs=1e-11)
+
+
 def test_bernoulli_mc_is_deterministic_and_near_truth(rng):
     m = rand_col_stochastic(rng, 5)
     truth = ryser_value(m)

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from cubescore import _kernel
 from cubescore.constructors import perm_reflection, rank_one_orthogonal, selector_matrix
 from cubescore.core import CapacityError, PreconditionError, SignVector
 from cubescore.score import (
@@ -60,6 +63,56 @@ def test_exact_matches_naive_hit_for_hit(rng):
         slow = naive_hit_indices(m)
         assert fast.tolist() == slow.tolist()
         assert exact_score(m).hit_count == naive_exact_score(m).hit_count
+
+
+def test_half_cube_walk_matches_naive_for_every_small_n(rng):
+    # n = 1..14 covers a walk with no high coordinates, blocks narrower than
+    # LOW_BITS, the first high bit, and odd n
+    for n in range(1, 15):
+        signs = rng.choice([-1.0, 1.0], size=n)
+        t = np.ones(n)
+        t[1:] = rng.choice([0.5, 1.0], size=n - 1)
+        for m in (
+            signs[:, None] * reflected_ones(n)[rng.permutation(n)],
+            rank_one_orthogonal(n, t).matrix,
+        ):
+            fast = exact_hit_indices(m)
+            assert fast.tolist() == naive_hit_indices(m).tolist()
+            assert exact_score(m).hit_count == fast.size
+
+
+def test_hits_near_the_tolerance_edge_survive_large_entries(rng):
+    # I + 200 u 1^T (u random signs) with three entries nudged.  Only
+    # balanced vectors can hit.  Row 1 moves every balanced vector's image
+    # 0.5*tol off the unit sphere, inside the tolerance; row 0 moves it a
+    # further 1.5*tol away, outside, unless x[n-1] != x[n-2].  So every
+    # balanced vector sits 0.5*tol from the membership edge, and the hits
+    # are the 2 * C(n-2, n/2-1) balanced vectors with x[n-1] != x[n-2].
+    n, tol = 20, 1e-9
+    m = np.eye(n) + 200.0 * np.outer(rng.choice([-1.0, 1.0], size=n), np.ones(n))
+    m[0, n - 1] += 0.75 * tol
+    m[0, n - 2] += 0.75 * tol
+    m[1, n - 3] += 0.5 * tol
+    fast = exact_hit_indices(m, tol)
+    assert fast.size == 2 * math.comb(n - 2, n // 2 - 1)
+    assert fast.tolist() == naive_hit_indices(m, tol).tolist()
+    assert exact_score(m, tol).hit_count == fast.size
+
+
+@pytest.mark.parametrize("walk", [{}, {"half": True}], ids=["full", "half"])
+def test_walk_does_not_drift(rng, walk):
+    # the last block of the n=24 walk must be as accurate as one direct
+    # product: within n * eps * max row l1-norm of M @ x (1.5e-11 here); a
+    # walk that updates its block in place by rank-one steps drifts to 9e-11
+    n = 24
+    m = rng.uniform(-200.0, 200.0, size=(n, n))
+    for y, gray, _ in _kernel.iter_sign_blocks(m, **walk):
+        pass
+    b = y.shape[1].bit_length() - 1
+    idx = (gray << b) | np.arange(y.shape[1])
+    x = 1.0 - 2.0 * ((idx[None, :] >> np.arange(n)[:, None]) & 1)
+    bound = n * np.finfo(float).eps * np.abs(m).sum(axis=1).max()
+    assert np.abs(y - m @ x).max() <= bound
 
 
 def test_exact_score_invariant_under_row_permutation_and_column_signs(rng):
