@@ -1,17 +1,28 @@
-"""Blocked Gray-code enumeration kernel.
+"""Blocked enumeration and sampling kernels.
 
 Every exhaustive statistic over ``{-1,+1}^n`` walks the hypercube through
 :func:`iter_sign_blocks`: the low ``b`` coordinates form one vectorized block
 of ``2**b`` columns whose image is computed once, and the remaining high
 coordinates follow a reflected Gray code, each block adding the image of the
-current high coordinates to that fixed low image.  Everything here is
-deterministic: fixed block layout, fixed visit order, and (for the Monte
-Carlo helpers) one counter-based Philox substream per block, which makes
-results independent of how blocks are dispatched to threads.
+current high coordinates to that fixed low image.
+
+Every Monte Carlo statistic over sign vectors runs through
+:func:`mc_sign_blocks`.  Samples come in blocks of :func:`mc_rows` rows,
+each drawn from its own counter-based Philox substream (:func:`block_rng`).
+A block's signs are packed bits (:func:`sample_signs`): full-range
+``uint64`` words read as little-endian bytes and unpacked low bit first, so
+one word gives 64 samples of one coordinate on any platform.  The block's
+image ``M @ x`` is one matrix product of ``[-2M | M 1]`` with the bits and a
+row of ones, into a scratch buffer that its reducer then overwrites in
+place.  Everything here is deterministic: fixed block layout, fixed visit
+order, and per-block substreams, which make results independent of how
+blocks are dispatched to threads.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterator
 
@@ -145,8 +156,66 @@ def block_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def sample_signs(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
-    bits = rng.integers(0, 2, size=(rows, n), dtype=np.int8)
-    return 1.0 - 2.0 * bits.astype(np.float64)
+    """Sign bits of one Monte Carlo block, as an ``(n, rows)`` 0/1 ``uint8`` array.
+
+    Bit 1 means the coordinate is -1.  Coordinate ``i`` takes its bits from
+    row ``i`` of ``(n, ceil(rows/64))`` full-range ``uint64`` words, drawn in
+    one call: sample ``r`` is bit ``r % 64`` of word ``r // 64``, counted
+    from the least significant bit.  The words are read as little-endian
+    bytes, so the bits do not depend on the platform's byte order.
+    """
+    words = rng.integers(0, 2**64 - 1, size=(n, -(-rows // 64)), endpoint=True, dtype=np.uint64)
+    raw = words.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(raw, axis=1, count=rows, bitorder="little")
+
+
+def map_sample_blocks(fn: Callable[[int, int], object], samples: int, n: int, threads: int = 1) -> list:
+    """``fn(i, rows)`` for every Monte Carlo block of ``samples`` draws in
+    ``n`` coordinates, in block order; block ``i`` holds ``rows`` samples,
+    ``mc_rows(n)`` except in the last block."""
+    block = mc_rows(n)
+    return map_blocks(lambda i: fn(i, min(block, samples - i * block)), num_blocks(samples, block), threads)
+
+
+def mc_sign_blocks(
+    m: np.ndarray,
+    samples: int,
+    seed: int,
+    stat: Callable[[np.ndarray, np.ndarray], object],
+    threads: int = 1,
+) -> list:
+    """``stat(y, bits)`` for every block of uniform sign-vector samples, in
+    block order.
+
+    ``bits`` is the block's :func:`sample_signs` array and ``y`` the
+    ``(rows_of_M, block_rows)`` image ``M @ (1 - 2*bits)``, computed as one
+    matrix product ``[-2M | M 1] @ [bits; 1]`` into a scratch buffer owned
+    by the pool thread; ``stat`` may overwrite ``y`` but not keep it.  Every
+    block is drawn from its own substream and multiplied by itself, so the
+    thread count never changes a number.
+    """
+    mrows, n = m.shape
+    a = np.column_stack([-2.0 * m, m.sum(axis=1)])
+    width = min(mc_rows(n), samples)  # the widest block
+    scratch = threading.local()
+
+    def one_block(i: int, rows: int):
+        bits = sample_signs(block_rng(seed, i), rows, n)
+        if not hasattr(scratch, "x"):
+            scratch.x = np.ones((n + 1, width))  # the last row stays 1
+            scratch.y = np.empty((mrows, width))
+        x, y = scratch.x[:, :rows], scratch.y[:, :rows]
+        x[:n] = bits
+        np.matmul(a, x, out=y)
+        return stat(y, bits)
+
+    return map_sample_blocks(one_block, samples, n, threads)
+
+
+def binomial_estimate(hits: int, samples: int) -> tuple[float, float]:
+    """Hit fraction and its standard error ``sqrt(p(1-p)/samples)``."""
+    p = hits / samples
+    return p, math.sqrt(p * (1.0 - p) / samples)
 
 
 def check_seed(seed: int) -> int:

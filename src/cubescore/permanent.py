@@ -12,7 +12,6 @@ distinct bins.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -34,6 +33,9 @@ BERNOULLI_EXACT_CAP = 25
 
 #: Permutation-sum oracle cap (10! terms).
 NAIVE_CAP = 10
+
+#: Permutations per vectorized product in the permutation-sum oracle.
+_NAIVE_CHUNK = 65536
 
 
 @dataclass(frozen=True)
@@ -90,22 +92,26 @@ def naive_value(m) -> float:
     n = arr.shape[0]
     if n > NAIVE_CAP:
         raise CapacityError(f"naive permanent is capped at n={NAIVE_CAP}, got {n}")
+    perms = _permutation_table(n)
     rows = np.arange(n)[None, :]
-    parts = []
-    chunk: list[tuple] = []
-
-    def flush():
-        if chunk:
-            pa = np.asarray(chunk, dtype=np.int64)
-            parts.append(float(arr[rows, pa].prod(axis=1).sum()))
-            chunk.clear()
-
-    for perm in itertools.permutations(range(n)):
-        chunk.append(perm)
-        if len(chunk) == 65536:
-            flush()
-    flush()
+    parts = [
+        float(arr[rows, perms[k : k + _NAIVE_CHUNK]].prod(axis=1).sum())
+        for k in range(0, len(perms), _NAIVE_CHUNK)
+    ]
     return math.fsum(parts)
+
+
+def _permutation_table(n: int) -> np.ndarray:
+    """Every permutation of ``range(n)`` as an ``(n!, n)`` ``int8`` table, in
+    lexicographic order: the block of rows starting with ``j`` is ``j``
+    followed by the table for ``n - 1`` with every entry ``>= j`` raised by
+    one."""
+    table = np.zeros((1, 0), dtype=np.int8)
+    for k in range(1, n + 1):
+        table = np.concatenate(
+            [np.column_stack([np.full(len(table), j, np.int8), table + (table >= j)]) for j in range(k)]
+        )
+    return table
 
 
 def naive_permanent(m) -> PermanentReport:
@@ -146,16 +152,14 @@ def bernoulli_permanent(
         raise PreconditionError("mc mode requires both samples and seed")
     samples = _kernel.check_samples(samples)
     seed = _kernel.check_seed(seed)
-    block = _kernel.mc_rows(n)
-    mt = arr.T.copy()
 
-    def one_block(i: int) -> tuple[float, float]:
-        rows = min(block, samples - i * block)
-        x = _kernel.sample_signs(_kernel.block_rng(seed, i), rows, n)
-        g = np.prod(x, axis=1) * np.prod(x @ mt, axis=1)
-        return float(g.sum()), float((g * g).sum())
+    def one_block(y: np.ndarray, bits: np.ndarray) -> tuple[float, float]:
+        g = np.prod(y, axis=0)
+        # prod_i x_i is -1 where the block has an odd number of -1 signs
+        np.negative(g, out=g, where=np.bitwise_xor.reduce(bits, axis=0).view(bool))
+        return float(g.sum()), float(g @ g)
 
-    sums = _kernel.map_blocks(one_block, _kernel.num_blocks(samples, block), threads)
+    sums = _kernel.mc_sign_blocks(arr, samples, seed, one_block, threads)
     total = math.fsum(s for s, _ in sums)
     total_sq = math.fsum(q for _, q in sums)
     mean = total / samples
@@ -174,7 +178,9 @@ def balls_in_bins_estimate(
 
     Ball ``j`` falls into bin ``i`` with probability ``A[i, j]``; the
     permanent of ``A`` equals the probability that all ``n`` balls land in
-    distinct bins, estimated here by seeded sampling.
+    distinct bins, estimated here by seeded sampling.  Each ball draws its
+    bin from its column's alias table with one uniform, whose integer part
+    picks the slot and whose fraction is the slot's coin.
     """
     arr = as_matrix(a, square=True)
     if not is_column_stochastic(arr, stochastic_tol):
@@ -184,21 +190,59 @@ def balls_in_bins_estimate(
     samples = _kernel.check_samples(samples)
     seed = _kernel.check_seed(seed)
     n = arr.shape[0]
-    cdf = np.cumsum(arr, axis=0)
-    block = _kernel.mc_rows(n)
+    prob, alias = _alias_tables(arr)
+    # Each sample marks its balls' bins in a bitmask of ceil(n/64) words.
+    # bit_tables[w, j, 2k + c] is the bit in word w of ball j's bin when its
+    # uniform falls in alias slot k, with c = 1 when the coin keeps bin k,
+    # and 0 when that bin lies in another word.
+    pick = np.stack([alias, np.broadcast_to(np.arange(n), alias.shape)], axis=2).reshape(n, 2 * n)
+    word, bit = np.divmod(pick, 64)
+    words = np.arange(-(-n // 64))[:, None, None]
+    bit_tables = np.where(word == words, np.left_shift(np.uint64(1), bit.astype(np.uint64)), np.uint64(0))
 
-    def one_block(i: int) -> int:
-        rows = min(block, samples - i * block)
-        u = _kernel.block_rng(seed, i).random((rows, n))
-        bins = np.empty((rows, n), dtype=np.int64)
-        for j in range(n):
-            bins[:, j] = np.searchsorted(cdf[:, j], u[:, j], side="right")
-        np.clip(bins, 0, n - 1, out=bins)
-        s = np.sort(bins, axis=1)
-        return int(np.count_nonzero(np.all(s[:, 1:] != s[:, :-1], axis=1)))
+    def one_block(i: int, rows: int) -> int:
+        seen = np.zeros((len(bit_tables), rows), dtype=np.uint64)
+        clash = np.zeros(rows, dtype=np.uint64)
+        u = _kernel.block_rng(seed, i).random((n, rows))
+        for j, t in enumerate(u):  # row j holds ball j's uniforms
+            t *= n
+            k = np.floor(t)
+            np.minimum(k, n - 1, out=k)
+            t -= k  # the coin, uniform in [0, 1)
+            k = k.astype(np.intp)
+            keep = t < prob[j].take(k)
+            k += k
+            k += keep
+            for mask, table in zip(seen, bit_tables):
+                bit = table[j].take(k)
+                clash |= mask & bit  # the bin already holds a ball
+                mask |= bit
+        return int(np.count_nonzero(clash == 0))
 
-    counts = _kernel.map_blocks(one_block, _kernel.num_blocks(samples, block), threads)
-    hits = int(sum(counts))
-    p = hits / samples
-    stderr = math.sqrt(p * (1.0 - p) / samples)
+    hits = int(sum(_kernel.map_sample_blocks(one_block, samples, n, threads)))
+    p, stderr = _kernel.binomial_estimate(hits, samples)
     return PermanentReport(p, "balls_in_bins", samples, stderr)
+
+
+def _alias_tables(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vose alias tables of the columns of ``a``, each a distribution over rows.
+
+    Returns ``(prob, alias)``, each ``(cols, rows)``: slot ``k`` of column
+    ``j`` yields bin ``k`` with probability ``prob[j, k]`` and bin
+    ``alias[j, k]`` otherwise, so drawing a uniform slot reproduces column
+    ``j`` (Walker 1977; Vose 1991).
+    """
+    n, cols = a.shape
+    prob = np.ones((cols, n))
+    alias = np.tile(np.arange(n), (cols, 1))
+    for j in range(cols):
+        q = (a[:, j] * n).tolist()
+        small = [k for k, v in enumerate(q) if v < 1.0]
+        large = [k for k, v in enumerate(q) if v >= 1.0]
+        while small and large:
+            s, g = small.pop(), large.pop()
+            prob[j, s], alias[j, s] = q[s], g
+            q[g] = (q[g] + q[s]) - 1.0
+            (small if q[g] < 1.0 else large).append(g)
+        # slots left over by rounding keep probability 1 of their own bin
+    return prob, alias

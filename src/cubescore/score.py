@@ -9,7 +9,6 @@ and Monte Carlo flavors.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,20 +147,12 @@ def mc_score(
     tol = _check_tol(tol)
     samples = _kernel.check_samples(samples)
     seed = _kernel.check_seed(seed)
-    n = arr.shape[0]
-    block = _kernel.mc_rows(n)
-    mt = arr.T.copy()
 
-    def one_block(i: int) -> int:
-        rows = min(block, samples - i * block)
-        x = _kernel.sample_signs(_kernel.block_rng(seed, i), rows, n)
-        y = x @ mt
-        return int(np.count_nonzero(np.abs(np.abs(y) - 1.0).max(axis=1) <= tol))
+    def one_block(y: np.ndarray, _) -> int:
+        return int(np.count_nonzero(_membership_hits(y, tol)))
 
-    counts = _kernel.map_blocks(one_block, _kernel.num_blocks(samples, block), threads)
-    hits = int(sum(counts))
-    p = hits / samples
-    stderr = math.sqrt(p * (1.0 - p) / samples)
+    hits = int(sum(_kernel.mc_sign_blocks(arr, samples, seed, one_block, threads)))
+    p, stderr = _kernel.binomial_estimate(hits, samples)
     return ScoreReport(hits, samples, p, stderr, "monte_carlo", tol)
 
 
@@ -196,19 +187,13 @@ def threshold_score(
         raise PreconditionError("mc mode requires both samples and seed")
     samples = _kernel.check_samples(samples)
     seed = _kernel.check_seed(seed)
-    block = _kernel.mc_rows(n)
-    mt = arr.T.copy()
 
-    def one_block(i: int) -> int:
-        rows = min(block, samples - i * block)
-        x = _kernel.sample_signs(_kernel.block_rng(seed, i), rows, n)
-        y = x @ mt
-        return int(np.count_nonzero(np.prod(np.abs(y), axis=1) >= theta))
+    def one_block(y: np.ndarray, _) -> int:
+        np.abs(y, out=y)
+        return int(np.count_nonzero(np.prod(y, axis=0) >= theta))
 
-    counts = _kernel.map_blocks(one_block, _kernel.num_blocks(samples, block), threads)
-    hits = int(sum(counts))
-    p = hits / samples
-    stderr = math.sqrt(p * (1.0 - p) / samples)
+    hits = int(sum(_kernel.mc_sign_blocks(arr, samples, seed, one_block, threads)))
+    p, stderr = _kernel.binomial_estimate(hits, samples)
     return ThresholdScoreReport(hits, samples, p, stderr, "monte_carlo", 0.0, float(theta))
 
 

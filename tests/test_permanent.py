@@ -5,6 +5,7 @@ import pytest
 
 from cubescore.core import CapacityError, PreconditionError
 from cubescore.permanent import (
+    _alias_tables,
     balls_in_bins_estimate,
     bernoulli_permanent,
     naive_permanent,
@@ -155,3 +156,47 @@ def test_report_dict_key_order():
     rep = ryser_permanent(np.eye(2))
     assert list(rep.to_dict()) == ["value", "method", "samples", "stderr"]
     assert naive_permanent(np.eye(2)).method == "naive"
+
+
+def test_mc_samplers_with_a_partial_last_block_are_thread_invariant(rng):
+    # three full blocks of 65536 rows and a last one of 37 rows, which is
+    # neither full nor a multiple of the 64 samples in one word of sign bits
+    samples = 3 * 65536 + 37
+    g = rng.normal(size=(7, 7))
+    a = rand_col_stochastic(rng, 7)
+    for run in (
+        lambda t: bernoulli_permanent(g, mode="mc", samples=samples, seed=5, threads=t),
+        lambda t: balls_in_bins_estimate(a, samples, 5, threads=t),
+    ):
+        reports = [run(t) for t in (1, 2, 3)]
+        assert reports[0].samples == samples and reports[0].stderr > 0.0
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_bernoulli_mc_parity_on_a_diagonal(n):
+    # x_i (D x)_i = d_i for every sign vector, so every sample of
+    # prod_i x_i (D x)_i is prod(d); the dyadic entries keep every sum exact
+    d = np.array([1.5, -2.0, 0.5, -1.0, 3.0, 0.25, -1.25])[:n]
+    rep = bernoulli_permanent(np.diag(d), mode="mc", samples=70000, seed=2)
+    assert rep.value == np.prod(d)
+    assert rep.stderr == 0.0
+
+
+def test_alias_tables_reproduce_every_column(rng):
+    for n in (1, 2, 5, 13, 20):
+        a = rand_col_stochastic(rng, n)
+        prob, alias = _alias_tables(a)
+        for j in range(n):
+            rebuilt = (prob[j] + np.bincount(alias[j], weights=1.0 - prob[j], minlength=n)) / n
+            assert np.abs(rebuilt - a[:, j]).max() <= 1e-15
+
+
+def test_balls_in_bins_wide_identity_and_forced_collision():
+    # n = 70 spreads the balls' bitmask over two 64-bit words
+    assert balls_in_bins_estimate(np.eye(70), samples=3000, seed=1).value == 1.0
+    for n, shared in ((5, 0), (70, 68)):
+        a = np.eye(n)
+        a[:, 1] = a[:, shared]  # balls 1 and `shared` always share a bin
+        rep = balls_in_bins_estimate(a, samples=3000, seed=1)
+        assert rep.value == 0.0 and rep.stderr == 0.0

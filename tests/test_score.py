@@ -264,3 +264,53 @@ def test_perm_reflection_scores_one(rng):
     signs = 1.0 - 2.0 * rng.integers(0, 2, size=6)
     cert = perm_reflection(6, pi, signs)
     assert exact_score(cert.matrix).score == 1.0
+
+
+#: Three full Monte Carlo blocks and a last one of 37 rows, which is
+#: neither full nor a multiple of the 64 samples in one word of sign bits.
+PARTIAL_SAMPLES = 3 * _kernel.MC_BLOCK + 37
+
+
+def test_mc_samplers_with_a_partial_last_block_are_thread_invariant(rng):
+    m = rng.normal(size=(7, 7)) / np.sqrt(7)
+    for run in (
+        lambda t: mc_score(m, PARTIAL_SAMPLES, 5, tol=0.5, threads=t),
+        lambda t: threshold_score(m, 0.05, mode="mc", samples=PARTIAL_SAMPLES, seed=5, threads=t),
+    ):
+        reports = [run(t) for t in (1, 2, 3)]
+        assert reports[0].total == PARTIAL_SAMPLES
+        assert 0 < reports[0].hit_count < PARTIAL_SAMPLES
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+def test_sample_signs_layout_balance_and_reproducibility():
+    n, rows = 5, 1000
+    bits = _kernel.sample_signs(_kernel.block_rng(9, 3), rows, n)
+    assert bits.shape == (n, rows) and bits.dtype == np.uint8
+    assert set(np.unique(bits).tolist()) <= {0, 1}
+    # sample r of coordinate i is bit r % 64, low bit first, of word r // 64
+    words = _kernel.block_rng(9, 3).integers(
+        0, 2**64 - 1, size=(n, -(-rows // 64)), endpoint=True, dtype=np.uint64
+    )
+    for i in range(n):
+        expect = [(int(words[i, k // 64]) >> (k % 64)) & 1 for k in range(rows)]
+        assert bits[i].tolist() == expect
+    big = _kernel.sample_signs(_kernel.block_rng(9, 0), _kernel.MC_BLOCK, 20)
+    se = 0.5 / np.sqrt(_kernel.MC_BLOCK)
+    assert np.all(np.abs(big.mean(axis=1) - 0.5) <= 5.0 * se)
+    again = _kernel.sample_signs(_kernel.block_rng(9, 0), _kernel.MC_BLOCK, 20)
+    assert np.array_equal(big, again)
+    other = _kernel.sample_signs(_kernel.block_rng(9, 1), _kernel.MC_BLOCK, 20)
+    assert not np.array_equal(big, other)
+
+
+def test_mc_block_image_matches_direct_product(rng):
+    # y comes from one product [-2M | M 1] @ [bits; 1]; it must match
+    # M @ (1 - 2 bits) to (n + 1) * eps * max row l1-norm of M
+    n = 20
+    m = rng.normal(size=(n, n))
+    blocks = _kernel.mc_sign_blocks(m, 3000, 4, lambda y, bits: (y.copy(), bits.copy()))
+    bound = (n + 1) * np.finfo(float).eps * np.abs(m).sum(axis=1).max()
+    for y, bits in blocks:
+        assert y.shape == (n, 3000)
+        assert np.abs(y - m @ (1.0 - 2.0 * bits)).max() <= bound
