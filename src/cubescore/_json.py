@@ -2,11 +2,13 @@
 
 Floats are written with 17 significant digits (`%.17g`), enough to round-trip
 any float64 exactly, and containers are emitted in insertion order, so equal
-report objects serialize to identical bytes.
+report objects serialize to identical bytes.  A report dataclass renders as
+its fields in declaration order.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -14,7 +16,12 @@ import numpy as np
 
 
 def to_jsonable(x):
-    """Recursively convert numpy scalars/arrays into plain Python values."""
+    """Recursively convert a value into plain Python values.
+
+    Numpy scalars and arrays become numbers and lists, tuples become lists,
+    an object with a ``to_dict`` method renders through it, and any other
+    dataclass becomes ``{field: value}`` over its fields in declaration order.
+    """
     if isinstance(x, np.ndarray):
         return [to_jsonable(v) for v in x.tolist()]
     if isinstance(x, (np.floating,)):
@@ -27,6 +34,10 @@ def to_jsonable(x):
         return {k: to_jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [to_jsonable(v) for v in x]
+    if hasattr(x, "to_dict"):
+        return to_jsonable(x.to_dict())
+    if dataclasses.is_dataclass(x):
+        return {f.name: to_jsonable(getattr(x, f.name)) for f in dataclasses.fields(x)}
     return x
 
 

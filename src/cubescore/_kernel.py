@@ -39,9 +39,7 @@ MC_BLOCK = 1 << 16
 
 def low_signs(b: int) -> np.ndarray:
     # column k holds the sign pattern of index k (bit set -> -1)
-    k = np.arange(1 << b)
-    bits = (k[None, :] >> np.arange(b)[:, None]) & 1
-    return 1.0 - 2.0 * bits.astype(np.float64)
+    return 1.0 - 2.0 * low_members(b)
 
 
 def low_sign_parity(b: int) -> np.ndarray:
@@ -146,7 +144,7 @@ def mc_rows(n: int) -> int:
     return max(1, min(MC_BLOCK, (1 << 22) // max(n, 1)))
 
 
-def num_blocks(samples: int, block: int = MC_BLOCK) -> int:
+def num_blocks(samples: int, block: int) -> int:
     return (samples + block - 1) // block
 
 

@@ -85,72 +85,40 @@ def _require(args, flag: str, family: str):
     return value
 
 
-# --- subcommand handlers: each returns (inputs, report, seed) ---
+# --- subcommand handlers: each returns (report, seed); main echoes every
+# flag of the subcommand as the envelope's inputs ---
 
 
 def _cmd_score_exact(args):
     m = load_matrix(args.matrix)
-    rep = exact_score(m, args.tol)
-    return {"matrix": args.matrix, "tol": args.tol}, rep.to_dict(), None
+    return exact_score(m, args.tol), None
 
 
 def _cmd_score_mc(args):
     m = load_matrix(args.matrix)
-    rep = mc_score(m, args.samples, args.seed, args.tol, args.threads)
-    inputs = {
-        "matrix": args.matrix,
-        "samples": args.samples,
-        "seed": args.seed,
-        "tol": args.tol,
-        "threads": args.threads,
-    }
-    return inputs, rep.to_dict(), args.seed
+    return mc_score(m, args.samples, args.seed, args.tol, args.threads), args.seed
 
 
 def _cmd_threshold_score(args):
     m = load_matrix(args.matrix)
     rep = threshold_score(m, args.theta, args.mode, args.samples, args.seed, args.threads)
-    inputs = {
-        "matrix": args.matrix,
-        "theta": args.theta,
-        "mode": args.mode,
-        "samples": args.samples,
-        "seed": args.seed,
-        "threads": args.threads,
-    }
-    return inputs, rep.to_dict(), args.seed if args.mode == "mc" else None
+    return rep, args.seed if args.mode == "mc" else None
 
 
 def _cmd_perm(args):
     m = load_matrix(args.matrix)
-    rep = ryser_permanent(m) if args.method == "ryser" else naive_permanent(m)
-    return {"matrix": args.matrix, "method": args.method}, rep.to_dict(), None
+    return (ryser_permanent(m) if args.method == "ryser" else naive_permanent(m)), None
 
 
 def _cmd_perm_bernoulli(args):
     m = load_matrix(args.matrix)
     rep = bernoulli_permanent(m, args.mode, args.samples, args.seed, args.threads)
-    inputs = {
-        "matrix": args.matrix,
-        "mode": args.mode,
-        "samples": args.samples,
-        "seed": args.seed,
-        "threads": args.threads,
-    }
-    return inputs, rep.to_dict(), args.seed if args.mode == "mc" else None
+    return rep, args.seed if args.mode == "mc" else None
 
 
 def _cmd_bins(args):
     m = load_matrix(args.matrix)
-    rep = balls_in_bins_estimate(m, args.samples, args.seed, args.threads, args.stochastic_tol)
-    inputs = {
-        "matrix": args.matrix,
-        "samples": args.samples,
-        "seed": args.seed,
-        "threads": args.threads,
-        "stochastic_tol": args.stochastic_tol,
-    }
-    return inputs, rep.to_dict(), args.seed
+    return balls_in_bins_estimate(m, args.samples, args.seed, args.threads, args.stochastic_tol), args.seed
 
 
 def _cmd_construct(args):
@@ -189,71 +157,39 @@ def _cmd_construct(args):
         raise PreconditionError(f"unknown family {family!r}")
 
     save_matrix(args.out, cert.matrix)
-    report = cert.to_dict()
+    report = _json.to_jsonable(cert)
+    del report["matrix"]  # written to --out instead
     report["matrix_path"] = args.out
-    inputs = {
-        "family": family,
-        "n": args.n,
-        "pi": args.pi,
-        "columns": args.columns,
-        "signs": args.signs,
-        "t": args.t,
-        "d_file": args.d_file,
-        "a_file": args.a_file,
-        "diag_signs": args.diag_signs,
-        "f0_file": args.f0_file,
-        "gap_file": args.gap_file,
-        "group_tol": args.group_tol,
-        "seed": seed,
-        "out": args.out,
-    }
-    return inputs, report, seed
+    return report, seed
 
 
 def _cmd_analyze(args):
     m = load_matrix(args.matrix)
     dom = dominance_analysis(m, args.epsilon)
     dec = decompose(m, args.snap_tol, args.rank_tol)
-    inputs = {
-        "matrix": args.matrix,
-        "epsilon": args.epsilon,
-        "snap_tol": args.snap_tol,
-        "rank_tol": args.rank_tol,
-    }
-    return inputs, {"dominance": dom.to_dict(), "decomposition": dec.to_dict()}, None
+    return {"dominance": dom, "decomposition": dec}, None
 
 
 def _cmd_rho(args):
     vectors = load_matrix(args.vectors_file)
-    rep = concentration_probability(vectors, args.group_tol)
-    return {"vectors_file": args.vectors_file, "group_tol": args.group_tol}, rep.to_dict(), None
+    return concentration_probability(vectors, args.group_tol), None
 
 
 def _cmd_classify_stochastic(args):
     m = load_matrix(args.matrix)
-    rep = stochastic_certificate(m, args.stochastic_tol, not args.skip_permanent)
-    inputs = {
-        "matrix": args.matrix,
-        "stochastic_tol": args.stochastic_tol,
-        "skip_permanent": args.skip_permanent,
-    }
-    return inputs, rep.to_dict(), None
+    return stochastic_certificate(m, args.stochastic_tol, not args.skip_permanent), None
 
 
 def _cmd_verify_rankr(args):
     u = load_matrix(args.u_file)
     d = load_matrix(args.d_file)
-    rep = verify_rank_r_structure(u, d, args.psd_tol)
-    inputs = {"u_file": args.u_file, "d_file": args.d_file, "psd_tol": args.psd_tol}
-    return inputs, rep.to_dict(), None
+    return verify_rank_r_structure(u, d, args.psd_tol), None
 
 
 def _cmd_trace_claim(args):
     e = _csv_floats(args.e, "--e")
     b = load_matrix(args.b_file) if args.b_file else None
-    rep = trace_bound_check(e, b, args.psd_tol)
-    inputs = {"e": args.e, "b_file": args.b_file, "psd_tol": args.psd_tol}
-    return inputs, rep.to_dict(), None
+    return trace_bound_check(e, b, args.psd_tol), None
 
 
 def _cmd_fit_map(args):
@@ -263,8 +199,7 @@ def _cmd_fit_map(args):
         raise PreconditionError(
             f"point files must have matching shapes, got {xs.shape} and {ys.shape}"
         )
-    rep = procrustes_fit(list(zip(xs, ys)))
-    return {"x_file": args.x_file, "y_file": args.y_file}, rep.to_dict(), None
+    return procrustes_fit(list(zip(xs, ys))), None
 
 
 # --- parser construction ---
@@ -325,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("construct", _cmd_construct, "build a matrix from one of the certified families")
     p.add_argument("--family", required=True,
                    choices=["perm", "selector", "rank1", "rankr", "gap-perturbed"])
-    p.add_argument("--out", required=True, help="path for the constructed matrix file")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--pi", default=None, help="comma-separated permutation of 0..n-1 (family perm)")
     p.add_argument("--columns", default=None, help="comma-separated source column per row (family selector)")
@@ -339,6 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON file {generators, lower, upper, symmetric} (family gap-perturbed)")
     p.add_argument("--group-tol", type=float, default=DEFAULT_TOLERANCES.membership_tol)
     p.add_argument("--seed", type=int, default=None, help="draw seed (family gap-perturbed)")
+    # declared last, so inputs echo it last
+    p.add_argument("--out", required=True, help="path for the constructed matrix file")
 
     p = add("analyze", _cmd_analyze, "row dominance plus sign/low-rank decomposition")
     p.add_argument("--matrix", required=True)
@@ -385,6 +321,10 @@ def _pretty_lines(value, label: str, depth: int, out: list[str]) -> None:
         out.append(f"{pad}{label}:")
         for row in value:
             out.append("  " * (depth + 1) + "  ".join(_pretty_scalar(v) for v in row))
+    elif isinstance(value, list) and any(isinstance(v, dict) for v in value):
+        out.append(f"{pad}{label}:")
+        for i, v in enumerate(value):
+            _pretty_lines(v, f"[{i}]", depth + 1, out)
     elif isinstance(value, list):
         out.append(f"{pad}{label}: [" + ", ".join(_pretty_scalar(v) for v in value) + "]")
     else:
@@ -412,7 +352,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
-        inputs, report, seed = args.handler(args)
+        report, seed = args.handler(args)
     except InternalCheckError as e:
         _emit_error(args.command, e)
         return 1
@@ -426,17 +366,18 @@ def main(argv: list[str] | None = None) -> int:
         _emit_error(args.command, e)
         return 1
     wall_ms = (time.perf_counter() - start) * 1000.0
+    inputs = {k: v for k, v in vars(args).items() if k not in ("command", "handler", "pretty")}
     result = {
         "command": args.command,
-        "inputs": _json.to_jsonable(inputs),
-        "report": _json.to_jsonable(report),
+        "inputs": inputs,
+        "report": report,
         "wall_time_ms": wall_ms,
         "seed": seed,
     }
     if args.pretty:
         lines: list[str] = []
-        for k, v in result.items():
-            _pretty_lines(_json.to_jsonable(v), k, 0, lines)
+        for k, v in _json.to_jsonable(result).items():
+            _pretty_lines(v, k, 0, lines)
         print("\n".join(lines))
     else:
         print(_json.dumps(result))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _json, _kernel
+from . import _kernel
 from .core import (
     CapacityError,
     DEFAULT_TOLERANCES,
@@ -117,14 +117,6 @@ class GapDescriptor:
         up = np.asarray(self.upper, dtype=np.int64)
         return rng.integers(lo, up + 1, size=(count, self.rank), dtype=np.int64)
 
-    def to_dict(self) -> dict:
-        return {
-            "generators": _json.to_jsonable(self.generators),
-            "lower": list(self.lower),
-            "upper": list(self.upper),
-            "symmetric": self.symmetric,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "GapDescriptor":
         try:
@@ -179,15 +171,6 @@ class ConstructionCertificate:
     claimed_score_lower_bound: float
     orthogonal: bool
     parameters: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "n": self.n,
-            "claimed_score_lower_bound": self.claimed_score_lower_bound,
-            "orthogonal": self.orthogonal,
-            "parameters": _json.to_jsonable(self.parameters),
-        }
 
 
 def _check_signs(signs, n: int) -> np.ndarray:
@@ -398,7 +381,7 @@ def gap_perturbed_selector(
         m, "gap_perturbed", n, claimed, is_orthogonal(m),
         {
             "seed": seed,
-            "gap": gap.to_dict(),
+            "gap": gap,
             "coefficients": coeffs.tolist(),
             "mode_count": mode_count,
             "mode_vector": mode_vec.tolist(),

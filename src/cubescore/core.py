@@ -8,8 +8,8 @@ so the integer value of the bitmask doubles as an enumeration index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -89,31 +89,6 @@ DEFAULT_TOLERANCES = ToleranceConfig()
 
 
 @dataclass(frozen=True)
-class AnalysisParams:
-    """Knobs for the asymptotic-style analyses.
-
-    epsilon drives the row-dominance threshold ``1 - n**(-1+epsilon)``;
-    exponent_c sets the thresholded-score cutoff ``n**(-exponent_c) / 2``.
-    """
-
-    epsilon: float = 0.5
-    exponent_c: float = 1.0
-
-    def __post_init__(self):
-        if not (0.0 < self.epsilon < 1.0):
-            raise PreconditionError(f"epsilon must lie strictly between 0 and 1, got {self.epsilon!r}")
-        if self.exponent_c < 0.0:
-            raise PreconditionError(f"exponent_c must be nonnegative, got {self.exponent_c!r}")
-
-    def dominance_threshold(self, n: int) -> float:
-        return 1.0 - float(n) ** (-1.0 + self.epsilon)
-
-    def score_threshold(self, n: int) -> float:
-        """Product cutoff ``n**(-exponent_c) / 2`` for the thresholded score."""
-        return float(n) ** (-self.exponent_c) / 2.0
-
-
-@dataclass(frozen=True)
 class SignVector:
     """A point of ``{-1,+1}^n`` packed into a bitmask.
 
@@ -173,24 +148,6 @@ class SignVector:
 
     def __len__(self) -> int:
         return self.n
-
-
-def gray_enumerate(n: int, visitor: Callable[[int | None, SignVector], None]) -> None:
-    """Visit all ``2**n`` sign vectors in reflected Gray-code order.
-
-    Consecutive vectors differ in exactly one component, so a visitor that
-    maintains ``M @ x`` incrementally pays one column update per step.  The
-    visitor receives ``(flipped_index, vector)``; the first visit is the
-    all ``+1`` vector with ``flipped_index=None``.
-    """
-    if not isinstance(n, int) or not (1 <= n <= ENUMERATION_CAP):
-        raise CapacityError(f"n must be an int in [1, {ENUMERATION_CAP}], got {n!r}")
-    visitor(None, SignVector(n, 0))
-    bits = 0
-    for k in range(1, 1 << n):
-        j = (k & -k).bit_length() - 1
-        bits ^= 1 << j
-        visitor(j, SignVector(n, bits))
 
 
 def as_matrix(a, *, square: bool = False, name: str = "matrix") -> np.ndarray:

@@ -50,14 +50,6 @@ class PermanentReport:
     samples: int | None = None
     stderr: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "method": self.method,
-            "samples": self.samples,
-            "stderr": self.stderr,
-        }
-
 
 def ryser_value(m) -> float:
     """Exact permanent by Ryser's formula, as a bare float.

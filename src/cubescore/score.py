@@ -39,16 +39,6 @@ class ScoreReport:
     method: str
     tolerance: float
 
-    def to_dict(self) -> dict:
-        return {
-            "hit_count": self.hit_count,
-            "total": self.total,
-            "score": self.score,
-            "stderr": self.stderr,
-            "method": self.method,
-            "tolerance": self.tolerance,
-        }
-
 
 @dataclass(frozen=True)
 class ThresholdScoreReport:
@@ -62,17 +52,6 @@ class ThresholdScoreReport:
     tolerance: float
     threshold: float
 
-    def to_dict(self) -> dict:
-        return {
-            "hit_count": self.hit_count,
-            "total": self.total,
-            "score": self.score,
-            "stderr": self.stderr,
-            "method": self.method,
-            "tolerance": self.tolerance,
-            "threshold": self.threshold,
-        }
-
 
 #: Sign vectors per matrix product in the naive oracle.
 _NAIVE_CHUNK = 4096
@@ -84,10 +63,6 @@ def _membership_hits(y: np.ndarray, tol: float) -> np.ndarray:
     np.subtract(y, 1.0, out=y)
     np.abs(y, out=y)
     return y.max(axis=0) <= tol
-
-
-def _check_square(m) -> np.ndarray:
-    return as_matrix(m, square=True)
 
 
 def _check_tol(tol: float) -> float:
@@ -103,7 +78,7 @@ def exact_score(m, tol: float = DEFAULT_TOLERANCES.membership_tol) -> ScoreRepor
     is invariant under ``x -> -x``, so half the cube is walked and the count
     doubled.  Capped at ``n <= 30``.
     """
-    arr = _check_square(m)
+    arr = as_matrix(m, square=True)
     tol = _check_tol(tol)
     n = arr.shape[0]
     hits = 0
@@ -116,7 +91,7 @@ def exact_score(m, tol: float = DEFAULT_TOLERANCES.membership_tol) -> ScoreRepor
 
 def exact_hit_indices(m, tol: float = DEFAULT_TOLERANCES.membership_tol) -> np.ndarray:
     """Sorted bitmask indices of every hit vector (bit i set means x_i = -1)."""
-    arr = _check_square(m)
+    arr = as_matrix(m, square=True)
     tol = _check_tol(tol)
     n = arr.shape[0]
     found = []
@@ -143,7 +118,7 @@ def mc_score(
     the same seed and sample count reproduces the estimate bit for bit
     regardless of ``threads``.
     """
-    arr = _check_square(m)
+    arr = as_matrix(m, square=True)
     tol = _check_tol(tol)
     samples = _kernel.check_samples(samples)
     seed = _kernel.check_seed(seed)
@@ -169,7 +144,7 @@ def threshold_score(
     ``mode`` is ``"exact"`` (exhaustive, ``n <= 30``; the statistic is
     invariant under ``x -> -x``, so half the cube is walked) or ``"mc"``.
     """
-    arr = _check_square(m)
+    arr = as_matrix(m, square=True)
     if not (0.0 < theta <= 1.0):
         raise PreconditionError(f"theta must lie in (0, 1], got {theta!r}")
     n = arr.shape[0]
@@ -199,7 +174,7 @@ def threshold_score(
 
 def product_statistic(m, x) -> float:
     """The single-vector statistic ``prod_i |(Mx)_i|``."""
-    arr = _check_square(m)
+    arr = as_matrix(m, square=True)
     if isinstance(x, SignVector):
         vec = x.components()
     else:
@@ -219,7 +194,7 @@ def naive_exact_score(m, tol: float = DEFAULT_TOLERANCES.membership_tol) -> Scor
     Kept deliberately independent of the blocked kernel so the two can be
     cross-checked hit for hit; capped at ``n <= 20`` for runtime reasons.
     """
-    arr = _check_square(m)
+    arr = as_matrix(m, square=True)
     hits = int(naive_hit_indices(arr, tol).size)
     total = 1 << arr.shape[0]
     return ScoreReport(hits, total, hits / total, 0.0, "exact", float(tol))
@@ -232,7 +207,7 @@ def naive_hit_indices(m, tol: float = DEFAULT_TOLERANCES.membership_tol) -> np.n
     from its bits and multiplying it out, a few thousand vectors per matrix
     product; nothing is carried over from one vector to the next.
     """
-    arr = _check_square(m)
+    arr = as_matrix(m, square=True)
     tol = _check_tol(tol)
     n = arr.shape[0]
     if n > 20:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _json, _kernel
+from . import _kernel
 from .core import (
     CapacityError,
     DEFAULT_TOLERANCES,
@@ -97,18 +97,6 @@ class DominanceReport:
     dominated_count: int
     column_injective: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "epsilon": self.epsilon,
-            "threshold": self.threshold,
-            "row_max": list(self.row_max),
-            "row_argmax": list(self.row_argmax),
-            "dominated": list(self.dominated),
-            "dominated_count": self.dominated_count,
-            "column_injective": self.column_injective,
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class DecompositionReport:
@@ -120,16 +108,6 @@ class DecompositionReport:
     kept_rows: tuple
     kept_cols: tuple
     gap_fit: dict | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "f": self.f.to_dict(),
-            "residual": _json.to_jsonable(self.residual),
-            "residual_rank": self.residual_rank,
-            "kept_rows": list(self.kept_rows),
-            "kept_cols": list(self.kept_cols),
-            "gap_fit": _json.to_jsonable(self.gap_fit) if self.gap_fit is not None else None,
-        }
 
 
 @dataclass(frozen=True)
@@ -151,18 +129,6 @@ class RowClass:
     part_sum: float | None = None
     rest_sum: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "ell1": self.ell1,
-            "col": self.col,
-            "entry": self.entry,
-            "tail": self.tail,
-            "part": list(self.part) if self.part is not None else None,
-            "part_sum": self.part_sum,
-            "rest_sum": self.rest_sum,
-        }
-
 
 @dataclass(frozen=True)
 class StochasticReport:
@@ -178,19 +144,6 @@ class StochasticReport:
     splittable_bound: float
     permanent: float | None
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "row_classes": [rc.to_dict() for rc in self.row_classes],
-            "little_count": self.little_count,
-            "splittable_count": self.splittable_count,
-            "dominated_count": self.dominated_count,
-            "dominated_injective": self.dominated_injective,
-            "little_bound": self.little_bound,
-            "splittable_bound": self.splittable_bound,
-            "permanent": self.permanent,
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class ConcentrationReport:
@@ -203,17 +156,6 @@ class ConcentrationReport:
     rho: float
     mode: np.ndarray
     group_tol: float
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "ambient_dim": self.ambient_dim,
-            "count": self.count,
-            "total": self.total,
-            "rho": self.rho,
-            "mode": _json.to_jsonable(self.mode),
-            "group_tol": self.group_tol,
-        }
 
 
 @dataclass(frozen=True)
@@ -230,19 +172,6 @@ class RankStructureReport:
     trace_bound: float
     trace_ok: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "identity_residual": self.identity_residual,
-            "sym_max_eig": self.sym_max_eig,
-            "sym_nsd": self.sym_nsd,
-            "diag_max": self.diag_max,
-            "diag_nonpositive": self.diag_nonpositive,
-            "trace": self.trace,
-            "trace_bound": self.trace_bound,
-            "trace_ok": self.trace_ok,
-        }
-
 
 @dataclass(frozen=True)
 class TraceBoundReport:
@@ -253,15 +182,6 @@ class TraceBoundReport:
     lower: float
     upper: float
     within_bounds: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "trace": self.trace,
-            "lower": self.lower,
-            "upper": self.upper,
-            "within_bounds": self.within_bounds,
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,16 +195,6 @@ class ProcrustesReport:
     max_residual: float
     orthogonal: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "pairs": self.pairs,
-            "matrix": _json.to_jsonable(self.matrix),
-            "residuals": list(self.residuals),
-            "max_residual": self.max_residual,
-            "orthogonal": self.orthogonal,
-        }
-
 
 @dataclass(frozen=True)
 class HammingCheck:
@@ -294,14 +204,6 @@ class HammingCheck:
     hamming: int
     quarter_norm_sq: float
     consistent: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "hamming": self.hamming,
-            "quarter_norm_sq": self.quarter_norm_sq,
-            "consistent": self.consistent,
-        }
 
 
 def dominance_analysis(m, epsilon: float = 0.5) -> DominanceReport:
@@ -386,7 +288,7 @@ def decompose(
             False,
         )
         gap_fit = {
-            "gap": gap.to_dict(),
+            "gap": gap,
             "generator_columns": [int(v) for v in np.sort(pivots)],
             "coefficients": coeffs.tolist(),
             "max_fit_residual": max(fit_residuals),

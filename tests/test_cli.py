@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import cubescore
-from cubescore.cli import main
+from cubescore.cli import build_parser, main
 from cubescore.constructors import rank_r_orthogonal
 from cubescore.core import save_matrix
 
@@ -287,11 +287,16 @@ def test_bad_choice_is_usage_error(capsys, reflected4):
     assert exc.value.code == 2
 
 
-def test_pretty_renders_text(capsys, reflected4):
+def test_pretty_renders_text(capsys, reflected4, uniform3):
     code, out, _ = run_cli(capsys, "score-exact", "--matrix", reflected4, "--pretty")
     assert code == 0
     assert out.startswith("command: score-exact")
     assert "hit_count: 8" in out
+    assert "{" not in out
+    # a list of reports renders as nested blocks, not as a Python repr
+    code, out, _ = run_cli(capsys, "classify-stochastic", "--matrix", uniform3, "--pretty")
+    assert code == 0
+    assert "  row_classes:\n    [0]:\n      kind: splittable\n" in out
     assert "{" not in out
 
 
@@ -301,3 +306,142 @@ def test_every_float_in_output_round_trips(capsys, uniform3):
     _, out, _ = run_cli(capsys, "perm", "--matrix", uniform3)
     reparsed = json.loads(out)
     assert reparsed["report"]["value"] == obj["report"]["value"]
+
+
+@pytest.fixture
+def cli_files(tmp_path, reflected4, uniform3):
+    rng = np.random.default_rng(77)
+    d = rng.normal(size=(4, 2))
+    files = {"reflected": reflected4, "uniform": uniform3, "out": str(tmp_path / "out.txt")}
+    mats = {
+        "d": d,
+        "u": np.asarray(rank_r_orthogonal(6, d).parameters["u"]),
+        "b": np.array([[0.0, 0.5], [-0.5, 0.0]]),
+        "f0": np.eye(4),
+        "vectors": np.ones((1, 4)),
+        "x": np.array([[1.0, 1.0], [1.0, -1.0]]),
+        "y": np.array([[-1.0, 1.0], [1.0, 1.0]]),
+        # the residual is rank one, so the decomposition carries a gap_fit
+        "near16": np.eye(16) - np.ones((16, 16)) / 8.0,
+    }
+    for name, m in mats.items():
+        files[name] = str(tmp_path / f"{name}.txt")
+        save_matrix(files[name], m)
+    files["gap"] = str(tmp_path / "gap.json")
+    Path(files["gap"]).write_text(json.dumps(
+        {"generators": [[1.0, 0.0, 0.0, 0.0]], "lower": [-1], "upper": [1], "symmetric": True}))
+    return files
+
+
+ENVELOPE = ["command", "inputs", "report", "wall_time_ms", "seed"]
+SCORE = ["hit_count", "total", "score", "stderr", "method", "tolerance"]
+PERMANENT = ["value", "method", "samples", "stderr"]
+MC_INPUTS = ["samples", "seed", "threads"]
+CONSTRUCT_INPUTS = ["family", "n", "pi", "columns", "signs", "t", "d_file", "a_file",
+                    "diag_signs", "f0_file", "gap_file", "group_tol", "seed", "out"]
+CERTIFICATE = ["family", "n", "claimed_score_lower_bound", "orthogonal", "parameters", "matrix_path"]
+GAP = ["generators", "lower", "upper", "symmetric"]
+DOMINANCE = ["n", "epsilon", "threshold", "row_max", "row_argmax", "dominated",
+             "dominated_count", "column_injective"]
+DECOMPOSITION = ["f", "residual", "residual_rank", "kept_rows", "kept_cols", "gap_fit"]
+
+# label -> (argv with {file} placeholders, {dotted path: keys in order})
+KEY_ORDER_CASES = {
+    "score-exact": (
+        ["score-exact", "--matrix", "{reflected}"],
+        {"inputs": ["matrix", "tol"], "report": SCORE}),
+    "score-mc": (
+        ["score-mc", "--matrix", "{reflected}", "--samples", "100", "--seed", "1"],
+        {"inputs": ["matrix", "samples", "seed", "tol", "threads"], "report": SCORE}),
+    "threshold-score": (
+        ["threshold-score", "--matrix", "{reflected}", "--theta", "0.5"],
+        {"inputs": ["matrix", "theta", "mode", *MC_INPUTS], "report": [*SCORE, "threshold"]}),
+    "perm": (
+        ["perm", "--matrix", "{uniform}"],
+        {"inputs": ["matrix", "method"], "report": PERMANENT}),
+    "perm-bernoulli": (
+        ["perm-bernoulli", "--matrix", "{uniform}"],
+        {"inputs": ["matrix", "mode", *MC_INPUTS], "report": PERMANENT}),
+    "bins": (
+        ["bins", "--matrix", "{uniform}", "--samples", "100", "--seed", "1"],
+        {"inputs": ["matrix", *MC_INPUTS, "stochastic_tol"], "report": PERMANENT}),
+    "construct-perm": (
+        ["construct", "--family", "perm", "--n", "2", "--pi", "1,0", "--signs", "1,-1", "--out", "{out}"],
+        {"inputs": CONSTRUCT_INPUTS, "report": CERTIFICATE, "report.parameters": ["pi", "signs"]}),
+    "construct-selector": (
+        ["construct", "--family", "selector", "--n", "2", "--columns", "0,0", "--signs", "1,-1",
+         "--out", "{out}"],
+        {"inputs": CONSTRUCT_INPUTS, "report": CERTIFICATE, "report.parameters": ["columns", "signs"]}),
+    "construct-rank1": (
+        ["construct", "--family", "rank1", "--n", "3", "--t", "1,1,1", "--out", "{out}"],
+        {"inputs": CONSTRUCT_INPUTS, "report": CERTIFICATE, "report.parameters": ["t", "x"]}),
+    "construct-rankr": (
+        ["construct", "--family", "rankr", "--d-file", "{d}", "--out", "{out}"],
+        {"inputs": CONSTRUCT_INPUTS, "report": CERTIFICATE,
+         "report.parameters": ["r", "d", "a", "diag_signs", "u"]}),
+    "construct-gap-perturbed": (
+        ["construct", "--family", "gap-perturbed", "--f0-file", "{f0}", "--gap-file", "{gap}",
+         "--seed", "2", "--out", "{out}"],
+        {"inputs": CONSTRUCT_INPUTS, "report": CERTIFICATE,
+         "report.parameters": ["seed", "gap", "coefficients", "mode_count", "mode_vector", "group_tol"],
+         "report.parameters.gap": GAP}),
+    "analyze": (
+        ["analyze", "--matrix", "{near16}"],
+        {"inputs": ["matrix", "epsilon", "snap_tol", "rank_tol"],
+         "report": ["dominance", "decomposition"],
+         "report.dominance": DOMINANCE,
+         "report.decomposition": DECOMPOSITION,
+         "report.decomposition.f": ["rows", "cols", "entries"],
+         "report.decomposition.gap_fit": ["gap", "generator_columns", "coefficients", "max_fit_residual"],
+         "report.decomposition.gap_fit.gap": GAP}),
+    "rho": (
+        ["rho", "--vectors-file", "{vectors}"],
+        {"inputs": ["vectors_file", "group_tol"],
+         "report": ["n", "ambient_dim", "count", "total", "rho", "mode", "group_tol"]}),
+    "classify-stochastic": (
+        ["classify-stochastic", "--matrix", "{uniform}"],
+        {"inputs": ["matrix", "stochastic_tol", "skip_permanent"],
+         "report": ["n", "row_classes", "little_count", "splittable_count", "dominated_count",
+                    "dominated_injective", "little_bound", "splittable_bound", "permanent"],
+         "report.row_classes.0": ["kind", "ell1", "col", "entry", "tail", "part", "part_sum",
+                                  "rest_sum"]}),
+    "verify-rankr": (
+        ["verify-rankr", "--u-file", "{u}", "--d-file", "{d}"],
+        {"inputs": ["u_file", "d_file", "psd_tol"],
+         "report": ["r", "identity_residual", "sym_max_eig", "sym_nsd", "diag_max",
+                    "diag_nonpositive", "trace", "trace_bound", "trace_ok"]}),
+    "trace-claim": (
+        ["trace-claim", "--e", "1,2", "--b-file", "{b}"],
+        {"inputs": ["e", "b_file", "psd_tol"], "report": ["r", "trace", "lower", "upper", "within_bounds"]}),
+    "fit-map": (
+        ["fit-map", "--x-file", "{x}", "--y-file", "{y}"],
+        {"inputs": ["x_file", "y_file"],
+         "report": ["n", "pairs", "matrix", "residuals", "max_residual", "orthogonal"]}),
+}
+
+
+def test_key_order_cases_cover_every_subcommand():
+    commands = next(a.choices for a in build_parser()._actions if a.dest == "command")
+    assert sorted({argv[0] for argv, _ in KEY_ORDER_CASES.values()}) == sorted(commands)
+
+
+@pytest.mark.parametrize("label", list(KEY_ORDER_CASES))
+def test_envelope_key_order(capsys, cli_files, label):
+    argv, expected = KEY_ORDER_CASES[label]
+    obj = run_json(capsys, *(a.format(**cli_files) for a in argv))
+    assert list(obj) == ENVELOPE
+    for path, keys in expected.items():
+        node = obj
+        for part in path.split("."):
+            node = node[int(part)] if part.isdigit() else node[part]
+        assert list(node) == keys, path
+
+
+def test_inputs_echo_every_flag(capsys, tmp_path):
+    # a seed that the family ignores is still echoed; the envelope's seed
+    # names only a seed that was used
+    obj = run_json(capsys, "construct", "--family", "rank1", "--n", "3", "--t", "1,1,1",
+                   "--seed", "3", "--out", str(tmp_path / "m.txt"))
+    assert obj["inputs"]["seed"] == 3
+    assert obj["inputs"]["pi"] is None
+    assert obj["seed"] is None

@@ -1,6 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
+from cubescore import _json
+from cubescore.cli import main
 from cubescore.constructors import (
     ConstructionCertificate,
     GapDescriptor,
@@ -189,7 +193,7 @@ def test_gap_descriptor_basics():
     elements = list(gap.enumerate_elements())
     assert len(elements) == 15
     assert gap.is_proper()
-    rebuilt = GapDescriptor.from_dict(gap.to_dict())
+    rebuilt = GapDescriptor.from_dict(_json.to_jsonable(gap))
     assert rebuilt.size() == 15
     assert rebuilt.symmetric
 
@@ -306,13 +310,28 @@ def test_gap_perturbed_selector_validation():
         gap_perturbed_selector(np.eye(1), GapDescriptor(np.zeros((1, 1)), (0,), (0,)), seed=1)
 
 
-def test_certificate_dict_key_order():
+def test_certificate_dict_key_order(tmp_path, capsys):
+    # the library renders every field in declaration order, matrix first;
+    # the CLI writes the matrix to --out and reports its path last
     cert = perm_reflection(2, [0, 1], [1, 1])
-    assert list(cert.to_dict()) == [
+    assert isinstance(cert, ConstructionCertificate)
+    assert list(_json.to_jsonable(cert)) == [
+        "matrix",
         "family",
         "n",
         "claimed_score_lower_bound",
         "orthogonal",
         "parameters",
     ]
-    assert isinstance(cert, ConstructionCertificate)
+    out = tmp_path / "m.txt"
+    assert main(["construct", "--family", "perm", "--n", "2", "--pi", "0,1", "--signs", "1,1",
+                 "--out", str(out)]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert list(report) == [
+        "family",
+        "n",
+        "claimed_score_lower_bound",
+        "orthogonal",
+        "parameters",
+        "matrix_path",
+    ]

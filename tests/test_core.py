@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from cubescore.core import (
-    AnalysisParams,
     CapacityError,
     ENUMERATION_CAP,
     ParseError,
@@ -11,7 +10,6 @@ from cubescore.core import (
     SignVector,
     ToleranceConfig,
     as_matrix,
-    gray_enumerate,
     is_column_stochastic,
     is_orthogonal,
     load_matrix,
@@ -57,43 +55,6 @@ def test_sign_vector_validation():
         SignVector(3, 1.5)
 
 
-def test_gray_enumerate_visits_every_vector_once():
-    seen = []
-    gray_enumerate(5, lambda j, sv: seen.append(sv.bits))
-    assert len(seen) == 32
-    assert sorted(seen) == list(range(32))
-
-
-def test_gray_enumerate_first_visit_and_single_flips():
-    visits = []
-    gray_enumerate(4, lambda j, sv: visits.append((j, sv.bits)))
-    assert visits[0] == (None, 0)
-    for (j0, b0), (j1, b1) in zip(visits, visits[1:]):
-        assert b0 ^ b1 == 1 << j1
-
-
-def test_gray_enumerate_supports_incremental_matvec(rng):
-    # the advertised contract: one column update per step tracks M @ x exactly
-    n = 8
-    m = rng.normal(size=(n, n))
-    state = {"y": m @ np.ones(n)}
-
-    def visit(j, sv):
-        if j is not None:
-            state["y"] = state["y"] + 2.0 * sv.component(j) * m[:, j]
-        fresh = m @ sv.components()
-        assert np.max(np.abs(state["y"] - fresh)) < 1e-12
-
-    gray_enumerate(n, visit)
-
-
-def test_gray_enumerate_caps():
-    with pytest.raises(CapacityError):
-        gray_enumerate(0, lambda j, sv: None)
-    with pytest.raises(CapacityError):
-        gray_enumerate(31, lambda j, sv: None)
-
-
 def test_tolerance_config_defaults_and_validation():
     cfg = ToleranceConfig()
     assert cfg.membership_tol == 1e-9
@@ -103,16 +64,6 @@ def test_tolerance_config_defaults_and_validation():
         ToleranceConfig(membership_tol=0.0)
     with pytest.raises(PreconditionError):
         ToleranceConfig(rank_tol=1.0)
-
-
-def test_analysis_params():
-    p = AnalysisParams(epsilon=0.5, exponent_c=2.0)
-    assert p.dominance_threshold(16) == 1.0 - 16 ** (-0.5)
-    assert p.score_threshold(10) == 10.0 ** (-2.0) / 2.0
-    with pytest.raises(PreconditionError):
-        AnalysisParams(epsilon=1.0)
-    with pytest.raises(PreconditionError):
-        AnalysisParams(exponent_c=-0.5)
 
 
 def test_as_matrix_validation():

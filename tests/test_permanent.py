@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cubescore import _json
 from cubescore.core import CapacityError, PreconditionError
 from cubescore.permanent import (
     _alias_tables,
@@ -154,7 +155,7 @@ def test_balls_in_bins_requires_column_stochastic():
 
 def test_report_dict_key_order():
     rep = ryser_permanent(np.eye(2))
-    assert list(rep.to_dict()) == ["value", "method", "samples", "stderr"]
+    assert list(_json.to_jsonable(rep)) == ["value", "method", "samples", "stderr"]
     assert naive_permanent(np.eye(2)).method == "naive"
 
 
