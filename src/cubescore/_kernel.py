@@ -6,6 +6,12 @@ of ``2**b`` columns whose image is computed once, and the remaining high
 coordinates follow a reflected Gray code, each block adding the image of the
 current high coordinates to that fixed low image.
 
+Operations state a rule and the reducers here apply it: :func:`count_signs`
+counts the vectors whose image satisfies a rule, over the half-cube walk or
+over Monte Carlo samples; :func:`parity_product_sum` sums ``parity(x) *
+prod_i (Mx)_i`` over the walk, the shared core of Ryser's and Glynn's
+permanent formulas; :func:`modal_signed_sum` finds the most frequent image.
+
 Every Monte Carlo statistic over sign vectors runs through
 :func:`mc_sign_blocks`.  Samples come in blocks of :func:`mc_rows` rows,
 each drawn from its own counter-based Philox substream (:func:`block_rng`).
@@ -28,7 +34,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .core import CapacityError, ENUMERATION_CAP, PreconditionError
+from .core import CapacityError, ENUMERATION_CAP, PreconditionError, check_fraction
 
 #: Coordinates handled as one vectorized block in exhaustive walks.
 LOW_BITS = 12
@@ -109,6 +115,35 @@ def iter_sign_blocks(
         yield y, gray, parity
 
 
+def count_signs(m: np.ndarray, hit: Callable, mode: str = "exact", samples: int | None = None,
+                seed: int | None = None, threads: int = 1) -> tuple[int, int, float]:
+    """``(hits, total, stderr)`` for the sign vectors whose image satisfies ``hit``.
+
+    ``hit(y)`` maps an image block ``y`` (one column per vector; it may be
+    overwritten) to a boolean mask over its columns, by a rule invariant under
+    ``x -> -x``.  Exact mode walks the half-cube and doubles the count
+    (``stderr`` 0); mc mode counts ``samples`` seeded draws.
+    """
+    draws = check_mode(mode, samples, seed)
+    if draws is None:
+        hits = sum(int(np.count_nonzero(hit(y))) for y, _, _ in iter_sign_blocks(m, half=True))
+        return 2 * hits, 1 << m.shape[1], 0.0
+    samples, seed = draws
+    hits = int(sum(mc_sign_blocks(m, samples, seed, lambda y, _: int(np.count_nonzero(hit(y))), threads)))
+    return hits, samples, binomial_estimate(hits, samples)[1]
+
+
+def parity_product_sum(m: np.ndarray, *, half: bool = False, members: bool = False) -> float:
+    """``fsum`` over the walk of :func:`iter_sign_blocks` (same ``half`` and
+    ``members``) of ``parity(x) * prod_i (Mx)_i``, where ``parity(x)`` is the
+    product of the signs of ``x``, or ``(-1)**|S|`` for a member set ``S``."""
+    plow = low_sign_parity(min(m.shape[1] - half, LOW_BITS))
+    return math.fsum(
+        parity * float(plow @ np.prod(y, axis=0))
+        for y, _, parity in iter_sign_blocks(m, half=half, members=members)
+    )
+
+
 def modal_signed_sum(a: np.ndarray, group_tol: float) -> tuple[int, np.ndarray, int]:
     """Most frequent value of ``A @ x`` over ``x`` in ``{-1,+1}^m``.
 
@@ -117,25 +152,25 @@ def modal_signed_sum(a: np.ndarray, group_tol: float) -> tuple[int, np.ndarray, 
     otherwise.  Returns ``(count, representative, total)`` where the
     representative is the first vector seen in the winning group and ties
     between groups break to the lexicographically smallest grid key.
+
+    Each block contributes its distinct keys, their counts and their first
+    images; one ``np.unique`` over all blocks' keys, in walk order, merges them.
     """
-    if group_tol <= 0.0:
-        raise PreconditionError(f"group_tol must be positive, got {group_tol!r}")
-    counts: dict[tuple, int] = {}
-    reps: dict[tuple, np.ndarray] = {}
-    total = 0
+    group_tol = check_fraction(group_tol, "group_tol")
+    if float(np.abs(a).sum(axis=1).max()) / group_tol >= 2.0**53:
+        raise PreconditionError(
+            f"group_tol {group_tol!r} is too fine for sums of this size: grid keys would not be exact"
+        )
+    blocks = []
     for y, _, _ in iter_sign_blocks(a):
-        total += y.shape[1]
         keys = np.round(y.T / group_tol).astype(np.int64)
         uniq, first, cnt = np.unique(keys, axis=0, return_index=True, return_counts=True)
-        for row, fi, c in zip(uniq, first, cnt):
-            key = tuple(int(v) for v in row)
-            if key not in counts:
-                counts[key] = 0
-                reps[key] = y[:, fi].copy()
-            counts[key] += int(c)
-    best_count = max(counts.values())
-    best_key = min(k for k, c in counts.items() if c == best_count)
-    return best_count, reps[best_key], total
+        blocks.append((uniq, cnt, y.T[first]))
+    keys, counts, reps = (np.concatenate(part) for part in zip(*blocks))
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    totals = np.bincount(inverse.reshape(-1), weights=counts)
+    best = int(np.argmax(totals))  # keys come sorted, so a tie goes to the smallest
+    return int(totals[best]), reps[first[best]], 1 << a.shape[1]
 
 
 def mc_rows(n: int) -> int:
@@ -214,6 +249,17 @@ def binomial_estimate(hits: int, samples: int) -> tuple[float, float]:
     """Hit fraction and its standard error ``sqrt(p(1-p)/samples)``."""
     p = hits / samples
     return p, math.sqrt(p * (1.0 - p) / samples)
+
+
+def check_mode(mode: str, samples: int | None, seed: int | None) -> tuple[int, int] | None:
+    """``None`` in exact mode, the checked ``(samples, seed)`` pair in mc mode."""
+    if mode == "exact":
+        return None
+    if mode != "mc":
+        raise PreconditionError(f"mode must be 'exact' or 'mc', got {mode!r}")
+    if samples is None or seed is None:
+        raise PreconditionError("mc mode requires both samples and seed")
+    return check_samples(samples), check_seed(seed)
 
 
 def check_seed(seed: int) -> int:

@@ -353,34 +353,29 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         report, seed = args.handler(args)
-    except InternalCheckError as e:
+        wall_ms = (time.perf_counter() - start) * 1000.0
+        inputs = {k: v for k, v in vars(args).items() if k not in ("command", "handler", "pretty")}
+        result = {
+            "command": args.command,
+            "inputs": inputs,
+            "report": report,
+            "wall_time_ms": wall_ms,
+            "seed": seed,
+        }
+        if args.pretty:
+            lines: list[str] = []
+            for k, v in _json.to_jsonable(result).items():
+                _pretty_lines(v, k, 0, lines)
+            text = "\n".join(lines)
+        else:
+            text = _json.dumps(result)
+    except (CubescoreError, OSError) as e:
+        _emit_error(args.command, e)
+        return 1 if isinstance(e, InternalCheckError) else 2
+    except Exception as e:  # unexpected, or unrenderable output: an internal failure
         _emit_error(args.command, e)
         return 1
-    except CubescoreError as e:
-        _emit_error(args.command, e)
-        return 2
-    except OSError as e:
-        _emit_error(args.command, e)
-        return 2
-    except Exception as e:  # unexpected: an internal failure, not a usage problem
-        _emit_error(args.command, e)
-        return 1
-    wall_ms = (time.perf_counter() - start) * 1000.0
-    inputs = {k: v for k, v in vars(args).items() if k not in ("command", "handler", "pretty")}
-    result = {
-        "command": args.command,
-        "inputs": inputs,
-        "report": report,
-        "wall_time_ms": wall_ms,
-        "seed": seed,
-    }
-    if args.pretty:
-        lines: list[str] = []
-        for k, v in _json.to_jsonable(result).items():
-            _pretty_lines(v, k, 0, lines)
-        print("\n".join(lines))
-    else:
-        print(_json.dumps(result))
+    print(text)
     return 0
 
 

@@ -28,6 +28,7 @@ from .core import (
     InternalCheckError,
     PreconditionError,
     as_matrix,
+    check_fraction,
     is_orthogonal,
     numeric_rank,
 )
@@ -107,6 +108,7 @@ class GapDescriptor:
         Elements are compared on a ``tol`` grid, which is exact for integer
         generators.  Enumerates the GAP, so the size cap applies.
         """
+        tol = check_fraction(tol, "tol")
         seen = set()
         for _, vec in self.enumerate_elements():
             seen.add(tuple(np.round(vec / tol).astype(np.int64).tolist()))
@@ -236,12 +238,9 @@ def selector_matrix(n: int, targets) -> ConstructionCertificate:
 
 
 def _zero_sum_probability(t: np.ndarray, tol: float) -> float:
-    # fraction of sign vectors orthogonal to t, by direct enumeration of the
-    # half with x_n = +1 (|t . x| is invariant under x -> -x)
-    hits = 0
-    for y, _, _ in _kernel.iter_sign_blocks(t[None, :], half=True):
-        hits += int(np.count_nonzero(np.abs(y[0], out=y[0]) <= tol))
-    return 2 * hits / (1 << t.size)
+    # fraction of sign vectors orthogonal to t (|t . x| is invariant under x -> -x)
+    hits, total, _ = _kernel.count_signs(t[None, :], lambda y: np.abs(y[0], out=y[0]) <= tol)
+    return hits / total
 
 
 def rank_one_orthogonal(n: int, t) -> ConstructionCertificate:
@@ -366,6 +365,7 @@ def gap_perturbed_selector(
         )
     if gap.size() > GAP_SIZE_CAP:
         raise CapacityError(f"GAP size {gap.size()} exceeds the {GAP_SIZE_CAP} cap")
+    group_tol = check_fraction(group_tol, "group_tol")
     if not gap.is_proper(group_tol):
         raise PreconditionError("GAP is improper: distinct coefficients collide")
     seed = _kernel.check_seed(seed)

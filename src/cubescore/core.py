@@ -80,9 +80,14 @@ class ToleranceConfig:
 
     def __post_init__(self):
         for name in ("membership_tol", "rank_tol", "psd_tol"):
-            v = getattr(self, name)
-            if not (0.0 < v < 1.0):
-                raise PreconditionError(f"{name} must lie strictly between 0 and 1, got {v!r}")
+            check_fraction(getattr(self, name), name)
+
+
+def check_fraction(value: float, name: str = "tolerance") -> float:
+    """``value`` as a float, which must be finite and lie strictly between 0 and 1."""
+    if not 0.0 < value < 1.0:  # also false for nan
+        raise PreconditionError(f"{name} must lie strictly between 0 and 1, got {value!r}")
+    return float(value)
 
 
 DEFAULT_TOLERANCES = ToleranceConfig()
@@ -172,6 +177,7 @@ def is_orthogonal(m, tol: float = 1e-9) -> bool:
 def is_column_stochastic(m, tol: float = 1e-9) -> bool:
     """True when all entries are >= -tol and every column sums to 1 within tol."""
     arr = as_matrix(m)
+    tol = check_fraction(tol, "stochastic_tol")
     if np.min(arr) < -tol:
         return False
     return bool(np.max(np.abs(arr.sum(axis=0) - 1.0)) <= tol)
@@ -186,8 +192,7 @@ def numeric_rank(m, rank_tol: float = DEFAULT_TOLERANCES.rank_tol) -> int:
     ``R`` above the same relative cutoff.
     """
     arr = as_matrix(m)
-    if not (0.0 < rank_tol < 1.0):
-        raise PreconditionError(f"rank_tol must lie strictly between 0 and 1, got {rank_tol!r}")
+    rank_tol = check_fraction(rank_tol, "rank_tol")
     if max(arr.shape) <= SVD_DIM_LIMIT:
         sv = np.linalg.svd(arr, compute_uv=False)
         top = sv[0] if sv.size else 0.0

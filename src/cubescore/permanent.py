@@ -64,11 +64,7 @@ def ryser_value(m) -> float:
     n = arr.shape[0]
     if n > ENUMERATION_CAP:
         raise CapacityError(f"Ryser enumeration is capped at n={ENUMERATION_CAP}, got {n}")
-    plow = _kernel.low_sign_parity(min(n, _kernel.LOW_BITS))  # (-1)**|S| over the low columns
-    parts = []
-    for y, _, parity in _kernel.iter_sign_blocks(arr, members=True):
-        parts.append(parity * float(plow @ np.prod(y, axis=0)))
-    return math.fsum(parts) * (1.0 if n % 2 == 0 else -1.0)
+    return _kernel.parity_product_sum(arr, members=True) * (1.0 if n % 2 == 0 else -1.0)
 
 
 def ryser_permanent(m) -> PermanentReport:
@@ -127,23 +123,14 @@ def bernoulli_permanent(
     """
     arr = as_matrix(m, square=True)
     n = arr.shape[0]
-    if mode == "exact":
+    draws = _kernel.check_mode(mode, samples, seed)
+    if draws is None:
         if n > BERNOULLI_EXACT_CAP:
             raise CapacityError(
                 f"exact expectation enumeration is capped at n={BERNOULLI_EXACT_CAP}, got {n}"
             )
-        plow = _kernel.low_sign_parity(min(n - 1, _kernel.LOW_BITS))
-        parts = []
-        for y, _, parity in _kernel.iter_sign_blocks(arr, half=True):
-            parts.append(parity * float(plow @ np.prod(y, axis=0)))
-        return PermanentReport(math.fsum(parts) / (1 << (n - 1)), "bernoulli_exact")
-
-    if mode != "mc":
-        raise PreconditionError(f"mode must be 'exact' or 'mc', got {mode!r}")
-    if samples is None or seed is None:
-        raise PreconditionError("mc mode requires both samples and seed")
-    samples = _kernel.check_samples(samples)
-    seed = _kernel.check_seed(seed)
+        return PermanentReport(_kernel.parity_product_sum(arr, half=True) / (1 << (n - 1)), "bernoulli_exact")
+    samples, seed = draws
 
     def one_block(y: np.ndarray, bits: np.ndarray) -> tuple[float, float]:
         g = np.prod(y, axis=0)

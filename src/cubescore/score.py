@@ -17,10 +17,10 @@ from . import _kernel
 from .core import (
     CapacityError,
     DEFAULT_TOLERANCES,
-    ENUMERATION_CAP,
     PreconditionError,
     SignVector,
     as_matrix,
+    check_fraction,
 )
 
 
@@ -41,15 +41,9 @@ class ScoreReport:
 
 
 @dataclass(frozen=True)
-class ThresholdScoreReport:
+class ThresholdScoreReport(ScoreReport):
     """Like :class:`ScoreReport` but for the product-threshold hit rule."""
 
-    hit_count: int
-    total: int
-    score: float
-    stderr: float
-    method: str
-    tolerance: float
     threshold: float
 
 
@@ -65,12 +59,6 @@ def _membership_hits(y: np.ndarray, tol: float) -> np.ndarray:
     return y.max(axis=0) <= tol
 
 
-def _check_tol(tol: float) -> float:
-    if not (0.0 < tol < 1.0):
-        raise PreconditionError(f"tolerance must lie strictly between 0 and 1, got {tol!r}")
-    return float(tol)
-
-
 def exact_score(m, tol: float = DEFAULT_TOLERANCES.membership_tol) -> ScoreReport:
     """Exhaustive hit score over all ``2**n`` sign vectors.
 
@@ -79,20 +67,15 @@ def exact_score(m, tol: float = DEFAULT_TOLERANCES.membership_tol) -> ScoreRepor
     doubled.  Capped at ``n <= 30``.
     """
     arr = as_matrix(m, square=True)
-    tol = _check_tol(tol)
-    n = arr.shape[0]
-    hits = 0
-    for y, _, _ in _kernel.iter_sign_blocks(arr, half=True):
-        hits += int(np.count_nonzero(_membership_hits(y, tol)))
-    hits *= 2
-    total = 1 << n
+    tol = check_fraction(tol)
+    hits, total, _ = _kernel.count_signs(arr, lambda y: _membership_hits(y, tol))
     return ScoreReport(hits, total, hits / total, 0.0, "exact", tol)
 
 
 def exact_hit_indices(m, tol: float = DEFAULT_TOLERANCES.membership_tol) -> np.ndarray:
     """Sorted bitmask indices of every hit vector (bit i set means x_i = -1)."""
     arr = as_matrix(m, square=True)
-    tol = _check_tol(tol)
+    tol = check_fraction(tol)
     n = arr.shape[0]
     found = []
     for y, gray, _ in _kernel.iter_sign_blocks(arr, half=True):
@@ -119,16 +102,10 @@ def mc_score(
     regardless of ``threads``.
     """
     arr = as_matrix(m, square=True)
-    tol = _check_tol(tol)
-    samples = _kernel.check_samples(samples)
-    seed = _kernel.check_seed(seed)
-
-    def one_block(y: np.ndarray, _) -> int:
-        return int(np.count_nonzero(_membership_hits(y, tol)))
-
-    hits = int(sum(_kernel.mc_sign_blocks(arr, samples, seed, one_block, threads)))
-    p, stderr = _kernel.binomial_estimate(hits, samples)
-    return ScoreReport(hits, samples, p, stderr, "monte_carlo", tol)
+    tol = check_fraction(tol)
+    hits, total, stderr = _kernel.count_signs(
+        arr, lambda y: _membership_hits(y, tol), "mc", samples, seed, threads)
+    return ScoreReport(hits, total, hits / total, stderr, "monte_carlo", tol)
 
 
 def threshold_score(
@@ -147,29 +124,13 @@ def threshold_score(
     arr = as_matrix(m, square=True)
     if not (0.0 < theta <= 1.0):
         raise PreconditionError(f"theta must lie in (0, 1], got {theta!r}")
-    n = arr.shape[0]
-    if mode == "exact":
-        hits = 0
-        for y, _, _ in _kernel.iter_sign_blocks(arr, half=True):
-            np.abs(y, out=y)
-            hits += int(np.count_nonzero(np.prod(y, axis=0) >= theta))
-        hits *= 2
-        total = 1 << n
-        return ThresholdScoreReport(hits, total, hits / total, 0.0, "exact", 0.0, float(theta))
-    if mode != "mc":
-        raise PreconditionError(f"mode must be 'exact' or 'mc', got {mode!r}")
-    if samples is None or seed is None:
-        raise PreconditionError("mc mode requires both samples and seed")
-    samples = _kernel.check_samples(samples)
-    seed = _kernel.check_seed(seed)
 
-    def one_block(y: np.ndarray, _) -> int:
-        np.abs(y, out=y)
-        return int(np.count_nonzero(np.prod(y, axis=0) >= theta))
+    def clears(y: np.ndarray) -> np.ndarray:
+        return np.prod(np.abs(y, out=y), axis=0) >= theta
 
-    hits = int(sum(_kernel.mc_sign_blocks(arr, samples, seed, one_block, threads)))
-    p, stderr = _kernel.binomial_estimate(hits, samples)
-    return ThresholdScoreReport(hits, samples, p, stderr, "monte_carlo", 0.0, float(theta))
+    hits, total, stderr = _kernel.count_signs(arr, clears, mode, samples, seed, threads)
+    method = "exact" if mode == "exact" else "monte_carlo"
+    return ThresholdScoreReport(hits, total, hits / total, stderr, method, 0.0, float(theta))
 
 
 def product_statistic(m, x) -> float:
@@ -208,7 +169,7 @@ def naive_hit_indices(m, tol: float = DEFAULT_TOLERANCES.membership_tol) -> np.n
     product; nothing is carried over from one vector to the next.
     """
     arr = as_matrix(m, square=True)
-    tol = _check_tol(tol)
+    tol = check_fraction(tol)
     n = arr.shape[0]
     if n > 20:
         raise CapacityError(f"naive score walk is capped at n=20, got {n}")

@@ -22,6 +22,7 @@ from .core import (
     DEFAULT_TOLERANCES,
     PreconditionError,
     as_matrix,
+    check_fraction,
     is_column_stochastic,
     is_orthogonal,
     numeric_rank,
@@ -213,8 +214,7 @@ def dominance_analysis(m, epsilon: float = 0.5) -> DominanceReport:
     pairwise distinct columns (ties inside a row break to the lowest column).
     """
     arr = as_matrix(m, square=True)
-    if not (0.0 < epsilon < 1.0):
-        raise PreconditionError(f"epsilon must lie strictly between 0 and 1, got {epsilon!r}")
+    epsilon = check_fraction(epsilon, "epsilon")
     n = arr.shape[0]
     threshold = 1.0 - float(n) ** (epsilon - 1.0)
     absa = np.abs(arr)
@@ -225,7 +225,7 @@ def dominance_analysis(m, epsilon: float = 0.5) -> DominanceReport:
     injective = len(set(dom_cols.tolist())) == int(dominated.sum())
     return DominanceReport(
         n,
-        float(epsilon),
+        epsilon,
         threshold,
         tuple(float(v) for v in rowmax),
         tuple(int(v) for v in argmax),
@@ -250,8 +250,7 @@ def decompose(
     yielding a GAP-style description with observed coefficient bounds.
     """
     arr = as_matrix(m, square=True)
-    if not (0.0 < snap_tol < 1.0):
-        raise PreconditionError(f"snap_tol must lie strictly between 0 and 1, got {snap_tol!r}")
+    snap_tol = check_fraction(snap_tol, "snap_tol")
     n = arr.shape[0]
     absa = np.abs(arr)
     argmax = absa.argmax(axis=1)
@@ -425,8 +424,7 @@ def verify_rank_r_structure(
     r = uu.shape[0]
     if dd.shape[1] != r:
         raise PreconditionError(f"d must have {r} columns to match u, got {dd.shape[1]}")
-    if not (0.0 < psd_tol < 1.0):
-        raise PreconditionError(f"psd_tol must lie strictly between 0 and 1, got {psd_tol!r}")
+    psd_tol = check_fraction(psd_tol, "psd_tol")
 
     identity_residual = float(
         np.max(np.abs(uu + uu.T + uu.T @ uu + uu.T @ (dd.T @ dd) @ uu))
@@ -461,6 +459,7 @@ def trace_bound_check(
     The trace always lands in ``[0, r]``; the report says whether it does
     within ``psd_tol`` slack.
     """
+    psd_tol = check_fraction(psd_tol, "psd_tol")
     e = np.asarray(e_diag, dtype=float)
     if e.ndim != 1 or e.size == 0:
         raise PreconditionError("e_diag must be a nonempty 1-D array")

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -445,3 +446,20 @@ def test_inputs_echo_every_flag(capsys, tmp_path):
     assert obj["inputs"]["seed"] == 3
     assert obj["inputs"]["pi"] is None
     assert obj["seed"] is None
+
+
+def test_unrenderable_output_is_a_json_error(capsys, tmp_path):
+    # the permanent of this matrix overflows, and an echoed --group-tol of inf
+    # cannot be written as JSON either: neither may leave a partial stdout
+    big = tmp_path / "big.txt"
+    save_matrix(big, np.full((2, 2), 1e200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+        code, out, err = run_cli(capsys, "perm", "--matrix", str(big))
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == {"type": "ValueError",
+                                        "message": "cannot serialize non-finite float nan"}
+    code, out, err = run_cli(capsys, "construct", "--family", "rank1", "--n", "2", "--t", "1,1",
+                             "--group-tol", "inf", "--out", str(tmp_path / "m.txt"))
+    assert (code, out) == (1, "")
+    assert json.loads(err)["command"] == "construct"

@@ -175,3 +175,19 @@ def test_sign_matrix_from_rows_mixes_packed_and_dense():
         sign_matrix_from_rows([[1.0, 0.0]])
     with pytest.raises(ShapeError):
         sign_matrix_from_rows([[1.0, 1.0], [1.0, 1.0, -1.0]])
+
+
+@pytest.mark.parametrize("value", [0.0, 1.0, -0.5, float("nan"), float("inf"), float("-inf")])
+def test_check_fraction_rejects_values_outside_the_open_unit_interval(value):
+    from cubescore.core import check_fraction
+
+    with pytest.raises(PreconditionError, match="rank_tol must lie strictly between 0 and 1"):
+        check_fraction(value, "rank_tol")
+    assert check_fraction(0.25) == 0.25
+
+
+def test_stochastic_tol_must_be_a_fraction():
+    a = np.array([[1.5, 0.0], [-0.5, 1.0]])
+    assert not is_column_stochastic(a)
+    with pytest.raises(PreconditionError, match="stochastic_tol"):
+        is_column_stochastic(a, float("inf"))

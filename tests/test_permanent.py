@@ -201,3 +201,10 @@ def test_balls_in_bins_wide_identity_and_forced_collision():
         a[:, 1] = a[:, shared]  # balls 1 and `shared` always share a bin
         rep = balls_in_bins_estimate(a, samples=3000, seed=1)
         assert rep.value == 0.0 and rep.stderr == 0.0
+
+
+def test_balls_in_bins_rejects_an_infinite_stochastic_tol():
+    # with tol = inf every matrix would pass as column-stochastic
+    with pytest.raises(PreconditionError, match="stochastic_tol"):
+        balls_in_bins_estimate(np.array([[1.5, 0.0], [-0.5, 1.0]]), samples=10, seed=1,
+                               stochastic_tol=float("inf"))

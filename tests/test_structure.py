@@ -405,3 +405,15 @@ def test_hamming_identity_holds_for_random_pairs(rng):
 def test_hamming_validation():
     with pytest.raises(PreconditionError):
         hamming_check([1, 1], [1, 1, 1])
+
+
+@pytest.mark.parametrize("psd_tol", [50.0, 1.0, 0.0, float("nan")])
+def test_trace_bound_check_rejects_psd_tol_outside_the_unit_interval(psd_tol):
+    # a slack of 50 would accept any trace of a 3 x 3 inverse
+    with pytest.raises(PreconditionError, match="psd_tol"):
+        trace_bound_check([0.5, 1.0, 2.0], psd_tol=psd_tol)
+
+
+def test_stochastic_certificate_rejects_nan_stochastic_tol():
+    with pytest.raises(PreconditionError, match="stochastic_tol"):
+        stochastic_certificate(np.eye(3), stochastic_tol=float("nan"))
