@@ -1,16 +1,20 @@
 """Blocked enumeration and sampling kernels.
 
 Every exhaustive statistic over ``{-1,+1}^n`` walks the hypercube through
-:func:`iter_sign_blocks`: the low ``b`` coordinates form one vectorized block
-of ``2**b`` columns whose image is computed once, and the remaining high
+:func:`sign_walk`: the low ``b`` coordinates form one vectorized block of
+``2**b`` columns whose image is computed once, and the remaining high
 coordinates follow a reflected Gray code, each block adding the image of the
-current high coordinates to that fixed low image.
+current high coordinates to that fixed low image.  :func:`iter_sign_blocks`
+forms every block densely.
 
 Operations state a rule and the reducers here apply it: :func:`count_signs`
 counts the vectors whose image satisfies a rule, over the half-cube walk or
-over Monte Carlo samples; :func:`parity_product_sum` sums ``parity(x) *
-prod_i (Mx)_i`` over the walk, the shared core of Ryser's and Glynn's
-permanent formulas; :func:`modal_signed_sum` finds the most frequent image.
+over Monte Carlo samples, and :func:`half_cube_hits` finds them; a rule that
+keeps each coordinate near given centers lets the walk skip the columns
+that cannot pass (:func:`_window_filter`).  :func:`parity_product_sum`
+sums ``parity(x) * prod_i (Mx)_i`` over the walk, the shared core of
+Ryser's and Glynn's permanent formulas; :func:`modal_signed_sum` finds the
+most frequent image.
 
 Every Monte Carlo statistic over sign vectors runs through
 :func:`mc_sign_blocks`.  Samples come in blocks of :func:`mc_rows` rows,
@@ -27,6 +31,8 @@ blocks are dispatched to threads.
 
 from __future__ import annotations
 
+import contextvars
+import itertools
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -38,6 +44,16 @@ from .core import CapacityError, ENUMERATION_CAP, PreconditionError, check_fract
 
 #: Coordinates handled as one vectorized block in exhaustive walks.
 LOW_BITS = 12
+
+#: The sorted-window filter runs when the columns it checks are at most
+#: this share of the half-cube; denser candidates take the dense walk.
+_FILTER_SHARE = 1 / 8
+
+#: Half-cube vectors whose images rank the rows as filter rows.
+_FILTER_SAMPLE = 1024
+
+#: Candidate columns checked per batch by the window filter.
+_FILTER_BATCH = 1 << 15
 
 #: Sample rows generated per Monte Carlo block.
 MC_BLOCK = 1 << 16
@@ -62,28 +78,30 @@ def low_members(b: int) -> np.ndarray:
     return bits.astype(np.float64)
 
 
-def iter_sign_blocks(
+def sign_walk(
     m: np.ndarray,
     low_bits: int = LOW_BITS,
     *,
     half: bool = False,
     members: bool = False,
-) -> Iterator[tuple[np.ndarray, int, int]]:
-    """Yield ``(y, high_gray, high_parity)`` blocks covering ``M @ x`` for all x.
+) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, int, int]]]:
+    """The walk over ``M @ x`` for all x: a fixed low image and per-block offsets.
 
-    ``y`` has shape ``(rows, 2**b)``; its column ``c`` is ``M @ x`` for the
-    sign vector with bitmask ``(high_gray << b) | c`` (bit set means -1).
-    ``high_parity`` is the product of the high-coordinate signs.
+    Returns ``(low, steps)``.  ``low`` has shape ``(rows, 2**b)``; its column
+    ``c`` is the image of the low coordinates with bitmask ``c`` (bit set
+    means -1).  ``steps`` yields ``(offset, high_gray, high_parity)`` per
+    block: ``offset`` is the image of the high coordinates with bitmask
+    ``high_gray``, so ``low[:, c] + offset`` is ``M @ x`` for the vector
+    with bitmask ``(high_gray << b) | c``, and ``high_parity`` is the
+    product of the high signs.  ``offset`` is one buffer rewritten at each
+    step.
 
     ``half=True`` walks only the vectors whose last coordinate is +1, one of
     each pair ``{x, -x}``.  ``members=True`` replaces every sign ``1 - 2*bit``
-    by the 0/1 membership ``bit``, so ``y`` holds column subset sums.
+    by the 0/1 membership ``bit``, so the images are column subset sums.
 
-    Each block is ``low + offset``: the low image is computed once and the
-    offset of the high coordinates is recomputed from their current values,
-    so every block is exact to a few ulps however long the walk.  ``y`` is
-    one scratch buffer rewritten at each step; consumers may overwrite it
-    but must finish with a block before advancing.
+    Each offset is recomputed by one ``np.dot`` from the current high
+    values, so every block is exact to a few ulps however long the walk.
     """
     rows, n = m.shape
     if n > ENUMERATION_CAP:
@@ -94,43 +112,193 @@ def iter_sign_blocks(
         low, clear, flip = m[:, :b] @ low_members(b), 0.0, 1.0
     else:
         low, clear, flip = m[:, :b] @ low_signs(b), 1.0, -1.0
-    high = np.ascontiguousarray(m[:, b:])
-    values = np.full(n - b, clear)  # current value of each high coordinate
+    return low, _gray_offsets(np.ascontiguousarray(m[:, b:]), clear, flip, 1 << (walked - b))
+
+
+def _gray_offsets(high: np.ndarray, clear: float, flip: float, nblocks: int):
+    values = np.full(high.shape[1], clear)  # current value of each high coordinate
     offset = high @ values
-    y = np.empty_like(low)
-    # row by row: adding a scalar to a contiguous row is about twice as fast
-    # as numpy's broadcast of a (rows, 1) column over the block
-    row_pairs = list(zip(low, y))
     gray = 0
     parity = 1
-    for k in range(1 << (walked - b)):
+    for k in range(nblocks):
         if k:
             j = (k & -k).bit_length() - 1
             gray ^= 1 << j
             parity = -parity
             values[j] = clear + flip - values[j]
             np.dot(high, values, out=offset)
+        yield offset, gray, parity
+
+
+def iter_sign_blocks(
+    m: np.ndarray,
+    low_bits: int = LOW_BITS,
+    *,
+    half: bool = False,
+    members: bool = False,
+) -> Iterator[tuple[np.ndarray, int, int]]:
+    """Yield ``(y, high_gray, high_parity)`` blocks covering ``M @ x`` for all x.
+
+    The dense consumer of :func:`sign_walk`, with the same arguments: ``y``
+    is the ``(rows, 2**b)`` block ``low + offset``, whose column ``c`` is
+    ``M @ x`` for the sign vector with bitmask ``(high_gray << b) | c``.
+    ``y`` is one scratch buffer rewritten at each step; consumers may
+    overwrite it but must finish with a block before advancing.
+    """
+    low, steps = sign_walk(m, low_bits, half=half, members=members)
+    y = np.empty_like(low)
+    # row by row: adding a scalar to a contiguous row is about twice as fast
+    # as numpy's broadcast of a (rows, 1) column over the block
+    row_pairs = list(zip(low, y))
+    for offset, gray, parity in steps:
         for (lo, out), o in zip(row_pairs, offset.tolist()):
             np.add(lo, o, out=out)
         yield y, gray, parity
 
 
 def count_signs(m: np.ndarray, hit: Callable, mode: str = "exact", samples: int | None = None,
-                seed: int | None = None, threads: int = 1) -> tuple[int, int, float]:
+                seed: int | None = None, threads: int = 1,
+                window: tuple[tuple[float, ...], float] | None = None) -> tuple[int, int, float]:
     """``(hits, total, stderr)`` for the sign vectors whose image satisfies ``hit``.
 
     ``hit(y)`` maps an image block ``y`` (one column per vector; it may be
     overwritten) to a boolean mask over its columns, by a rule invariant under
-    ``x -> -x``.  Exact mode walks the half-cube and doubles the count
-    (``stderr`` 0); mc mode counts ``samples`` seeded draws.
+    ``x -> -x``.  Exact mode doubles the :func:`half_cube_hits` count, with
+    ``window`` passed on (``stderr`` 0); mc mode counts ``samples`` seeded
+    draws.
     """
     draws = check_mode(mode, samples, seed)
     if draws is None:
-        hits = sum(int(np.count_nonzero(hit(y))) for y, _, _ in iter_sign_blocks(m, half=True))
-        return 2 * hits, 1 << m.shape[1], 0.0
+        return 2 * half_cube_hits(m, hit, window), 1 << m.shape[1], 0.0
     samples, seed = draws
     hits = int(sum(mc_sign_blocks(m, samples, seed, lambda y, _: int(np.count_nonzero(hit(y))), threads)))
     return hits, samples, binomial_estimate(hits, samples)[1]
+
+
+def half_cube_hits(m: np.ndarray, hit: Callable, window: tuple[tuple[float, ...], float] | None = None,
+                   *, indices: bool = False):
+    """Hits of ``hit`` among the vectors whose last coordinate is +1: their
+    count, or with ``indices=True`` their ``int64`` bitmasks in no set order.
+
+    ``window = (centers, tol)`` states the shape of the rule: ``hit`` accepts
+    a column exactly when each of its coordinates, as computed, lies within
+    ``tol`` of one of ``centers``.  The walk may then check only the columns
+    that can pass (:func:`_window_filter`); the hits are the same either way.
+    """
+    found = None if window is None else _window_filter(m, hit, *window, indices)
+    if found is None:
+        found = []
+        for y, gray, _ in iter_sign_blocks(m, half=True):
+            mask = hit(y)
+            found.append(gray * mask.size + np.flatnonzero(mask) if indices else int(np.count_nonzero(mask)))
+    return np.concatenate(found).astype(np.int64) if indices else sum(found)
+
+
+def _window_filter(m: np.ndarray, hit: Callable, centers: tuple[float, ...], tol: float,
+                   indices: bool) -> list | None:
+    """:func:`half_cube_hits` through a sorted-window filter, as a list of
+    counts or bitmask arrays to add up, or ``None`` where the dense walk is
+    cheaper.
+
+    A coordinate ``r`` of a hit is ``low[r, c] + offset[r]`` and lies within
+    ``tol`` of a center.  With row ``r`` of the low image sorted, each
+    block's offset gives the only columns that can pass that row: one
+    window around ``center - offset[r]`` per center, found by
+    ``searchsorted`` and widened by a few ulps of the operands (the
+    Horowitz-Sahni split, *J. ACM* 21:277, 1974).  ``hit`` then decides
+    those columns alone, on the same float sums that the dense walk forms,
+    so the hits are identical.  For a one-row matrix the columns inside the
+    window narrowed by those ulps pass for certain: they are counted, and
+    only the columns at its edges are checked.
+
+    The filter row is the one with the fewest images near a center among a
+    fixed sample of vectors.  When that share, or the exact share of columns
+    left to check, exceeds ``_FILTER_SHARE`` of the walk, the dense walk is
+    cheaper and the answer is ``None``.
+    """
+    rows, n = m.shape
+    centers = sorted(centers)
+    row = 0
+    if rows > 1:
+        # the share of a fixed spread of half-cube vectors near a center
+        # ranks the rows (an odd multiplier permutes the bitmasks)
+        sample = np.arange(min(_FILTER_SAMPLE, 1 << (n - 1))) * 0x9E3779B1 % (1 << (n - 1))
+        y = m @ (1.0 - 2.0 * ((sample >> np.arange(n)[:, None]) & 1))
+        near = np.zeros(y.shape, dtype=bool)
+        for c in centers:
+            near |= np.abs(y - c) <= tol
+        share = near.mean(axis=1)
+        row = int(np.argmin(share))
+        if share[row] > _FILTER_SHARE:
+            return None
+    low, steps = sign_walk(m, half=True)
+    width = low.shape[1]
+    nblocks = (1 << (n - 1)) // width
+    offsets = np.empty((rows, nblocks))
+    for k, (offset, _, _) in enumerate(steps):
+        offsets[:, k] = offset
+    order = np.argsort(low[row])
+    bounds = _window_bounds(low[row, order], offsets[row], centers, tol, rows == 1)
+    # each center's window is [i0, i1) [i1, j1) [j1, j0): edge, certain, edge
+    begin, end = bounds[:, 0::2], bounds[:, 1::2]
+    done = np.cumsum((end - begin).sum(axis=1))  # edge columns up to each block
+    if done[-1] > _FILTER_SHARE * nblocks * width:
+        return None
+    gray = np.arange(nblocks)
+    gray ^= gray >> 1
+    certain = bounds[:, 1::4], bounds[:, 2::4]
+    if indices:
+        block, pos = _ranges(*certain)
+        found = [gray[block] * width + order[pos]]
+    else:
+        found = [int((certain[1] - certain[0]).sum())]
+    cuts = np.searchsorted(done, np.arange(_FILTER_BATCH, done[-1], _FILTER_BATCH), "right")
+    for k0, k1 in itertools.pairwise(sorted({0, *cuts.tolist(), nblocks})):
+        block, pos = _ranges(begin[k0:k1], end[k0:k1])
+        if pos.size:
+            block += k0
+            cols = order[pos]
+            y = low[:, cols]
+            y += offsets[:, block]
+            mask = hit(y)
+            found.append(gray[block[mask]] * width + cols[mask] if indices else int(np.count_nonzero(mask)))
+    return found
+
+
+def _window_bounds(srow: np.ndarray, offset: np.ndarray, centers: list[float], tol: float,
+                   certain: bool) -> np.ndarray:
+    """Per block, ``[i0, i1, j1, j0]`` for each center in ascending order:
+    the columns ``[i0, j0)`` of the sorted row ``srow`` are the only ones
+    whose sum with the block's ``offset`` can lie within ``tol`` of the
+    center, and with ``certain`` those in ``[i1, j1)`` surely do (otherwise
+    ``i1 = j1 = j0``).  The bounds never decrease along a block, so no
+    column falls in two ranges.
+
+    The window is widened, and the certain range narrowed, by eight ulps of
+    the largest operand: ``srow + offset``, the subtraction of the center,
+    the bounds' own arithmetic and ``hit``'s rounding each err by at most
+    half an ulp of it.  Overflow needs no special case: an infinite slack
+    makes every column a candidate and none certain, and a nan bound, which
+    only a non-finite offset gives, sorts past every column; then every sum
+    of the block is non-finite and passes no window anyway.
+    """
+    slack = 8 * np.finfo(float).eps * (np.abs(srow).max() + np.abs(offset) + max(map(abs, centers)) + tol)
+    mid = np.subtract.outer(centers, offset)
+    i0, i1 = np.searchsorted(srow, [mid - tol - slack, mid - tol + slack], "left")
+    j1, j0 = np.searchsorted(srow, [mid + tol - slack, mid + tol + slack], "right")
+    if not certain:
+        i1 = j1 = j0
+    bounds = np.stack([i0, i1, j1, j0], axis=2).transpose(1, 0, 2).reshape(offset.size, -1)
+    return np.maximum.accumulate(bounds, axis=1)
+
+
+def _ranges(begin: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every position in the ranges ``[begin, end)``, two ``(blocks, k)``
+    arrays, block by block, and the block each position belongs to."""
+    lens = (end - begin).ravel()
+    owner = np.repeat(np.arange(lens.size), lens)
+    pos = np.arange(owner.size) + np.repeat(begin.ravel() - (np.cumsum(lens) - lens), lens)
+    return owner // begin.shape[1], pos
 
 
 def parity_product_sum(m: np.ndarray, *, half: bool = False, members: bool = False) -> float:
@@ -157,13 +325,9 @@ def modal_signed_sum(a: np.ndarray, group_tol: float) -> tuple[int, np.ndarray, 
     images; one ``np.unique`` over all blocks' keys, in walk order, merges them.
     """
     group_tol = check_fraction(group_tol, "group_tol")
-    if float(np.abs(a).sum(axis=1).max()) / group_tol >= 2.0**53:
-        raise PreconditionError(
-            f"group_tol {group_tol!r} is too fine for sums of this size: grid keys would not be exact"
-        )
     blocks = []
     for y, _, _ in iter_sign_blocks(a):
-        keys = np.round(y.T / group_tol).astype(np.int64)
+        keys = grid_keys(y.T, group_tol)
         uniq, first, cnt = np.unique(keys, axis=0, return_index=True, return_counts=True)
         blocks.append((uniq, cnt, y.T[first]))
     keys, counts, reps = (np.concatenate(part) for part in zip(*blocks))
@@ -171,6 +335,19 @@ def modal_signed_sum(a: np.ndarray, group_tol: float) -> tuple[int, np.ndarray, 
     totals = np.bincount(inverse.reshape(-1), weights=counts)
     best = int(np.argmax(totals))  # keys come sorted, so a tie goes to the smallest
     return int(totals[best]), reps[first[best]], 1 << a.shape[1]
+
+
+def grid_keys(values: np.ndarray, group_tol: float) -> np.ndarray:
+    """``values`` rounded to the ``group_tol`` grid, as ``int64`` keys.
+
+    Raises :class:`PreconditionError` when a key would reach ``2**53``,
+    beyond which neither the quotient nor the cast to ``int64`` is exact.
+    """
+    if float(np.abs(values).max()) / group_tol >= 2.0**53:
+        raise PreconditionError(
+            f"group_tol {group_tol!r} is too fine for sums of this size: grid keys would not be exact"
+        )
+    return np.round(values / group_tol).astype(np.int64)
 
 
 def mc_rows(n: int) -> int:
@@ -279,11 +456,13 @@ def map_blocks(fn: Callable[[int], object], nblocks: int, threads: int = 1) -> l
 
     With ``threads > 1`` blocks run on a thread pool; because every block owns
     its Philox substream and results are reduced in block order, the thread
-    count never changes the outcome.
+    count never changes the outcome.  Each block runs in a copy of the
+    caller's context, so the caller's ``np.errstate`` holds there too.
     """
     if not isinstance(threads, (int, np.integer)) or isinstance(threads, bool) or threads < 1:
         raise PreconditionError(f"threads must be a positive integer, got {threads!r}")
     if threads == 1 or nblocks <= 1:
         return [fn(i) for i in range(nblocks)]
     with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-        return list(pool.map(fn, range(nblocks)))
+        futures = [pool.submit(contextvars.copy_context().run, fn, i) for i in range(nblocks)]
+        return [f.result() for f in futures]

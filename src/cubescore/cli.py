@@ -16,6 +16,8 @@ import argparse
 import sys
 import time
 
+import numpy as np
+
 from . import _json
 from .core import (
     CubescoreError,
@@ -352,23 +354,26 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
-        report, seed = args.handler(args)
-        wall_ms = (time.perf_counter() - start) * 1000.0
-        inputs = {k: v for k, v in vars(args).items() if k not in ("command", "handler", "pretty")}
-        result = {
-            "command": args.command,
-            "inputs": inputs,
-            "report": report,
-            "wall_time_ms": wall_ms,
-            "seed": seed,
-        }
-        if args.pretty:
-            lines: list[str] = []
-            for k, v in _json.to_jsonable(result).items():
-                _pretty_lines(v, k, 0, lines)
-            text = "\n".join(lines)
-        else:
-            text = _json.dumps(result)
+        # numpy's floating-point warnings would print to stderr ahead of the
+        # one JSON error line; a non-finite result fails when it is rendered
+        with np.errstate(all="ignore"):
+            report, seed = args.handler(args)
+            wall_ms = (time.perf_counter() - start) * 1000.0
+            inputs = {k: v for k, v in vars(args).items() if k not in ("command", "handler", "pretty")}
+            result = {
+                "command": args.command,
+                "inputs": inputs,
+                "report": report,
+                "wall_time_ms": wall_ms,
+                "seed": seed,
+            }
+            if args.pretty:
+                lines: list[str] = []
+                for k, v in _json.to_jsonable(result).items():
+                    _pretty_lines(v, k, 0, lines)
+                text = "\n".join(lines)
+            else:
+                text = _json.dumps(result)
     except (CubescoreError, OSError) as e:
         _emit_error(args.command, e)
         return 1 if isinstance(e, InternalCheckError) else 2

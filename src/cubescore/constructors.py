@@ -109,10 +109,10 @@ class GapDescriptor:
         generators.  Enumerates the GAP, so the size cap applies.
         """
         tol = check_fraction(tol, "tol")
-        seen = set()
-        for _, vec in self.enumerate_elements():
-            seen.add(tuple(np.round(vec / tol).astype(np.int64).tolist()))
-        return len(seen) == self.size()
+        keys = _kernel.grid_keys(np.array([vec for _, vec in self.enumerate_elements()]), tol)
+        # asking for the counts also spares np.unique its lazy import of numpy.ma
+        _, counts = np.unique(keys, axis=0, return_counts=True)
+        return int(counts.max()) == 1
 
     def sample_coefficients(self, rng: np.random.Generator, count: int) -> np.ndarray:
         lo = np.asarray(self.lower, dtype=np.int64)
@@ -239,7 +239,8 @@ def selector_matrix(n: int, targets) -> ConstructionCertificate:
 
 def _zero_sum_probability(t: np.ndarray, tol: float) -> float:
     # fraction of sign vectors orthogonal to t (|t . x| is invariant under x -> -x)
-    hits, total, _ = _kernel.count_signs(t[None, :], lambda y: np.abs(y[0], out=y[0]) <= tol)
+    hits, total, _ = _kernel.count_signs(t[None, :], lambda y: np.abs(y[0], out=y[0]) <= tol,
+                                         window=((0.0,), tol))
     return hits / total
 
 

@@ -36,10 +36,6 @@ class PreconditionError(CubescoreError):
     """An input violates a documented precondition of the operation."""
 
 
-class ConstructionError(PreconditionError):
-    """A constructor cannot produce a valid matrix from these inputs."""
-
-
 class DegenerateGeneratorsError(PreconditionError):
     """Lattice generators are numerically rank-deficient."""
 

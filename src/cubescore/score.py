@@ -64,11 +64,13 @@ def exact_score(m, tol: float = DEFAULT_TOLERANCES.membership_tol) -> ScoreRepor
 
     A vector counts as a hit when ``max_i ||(Mx)_i| - 1| <= tol``.  The rule
     is invariant under ``x -> -x``, so half the cube is walked and the count
-    doubled.  Capped at ``n <= 30``.
+    doubled.  Where hits are rare the walk checks only the vectors whose
+    image can be near ``+-1`` in one row (``_kernel.half_cube_hits``), with
+    the same count.  Capped at ``n <= 30``.
     """
     arr = as_matrix(m, square=True)
     tol = check_fraction(tol)
-    hits, total, _ = _kernel.count_signs(arr, lambda y: _membership_hits(y, tol))
+    hits, total, _ = _kernel.count_signs(arr, lambda y: _membership_hits(y, tol), window=((-1.0, 1.0), tol))
     return ScoreReport(hits, total, hits / total, 0.0, "exact", tol)
 
 
@@ -76,16 +78,8 @@ def exact_hit_indices(m, tol: float = DEFAULT_TOLERANCES.membership_tol) -> np.n
     """Sorted bitmask indices of every hit vector (bit i set means x_i = -1)."""
     arr = as_matrix(m, square=True)
     tol = check_fraction(tol)
-    n = arr.shape[0]
-    found = []
-    for y, gray, _ in _kernel.iter_sign_blocks(arr, half=True):
-        mask = _membership_hits(y, tol)
-        if mask.any():
-            found.append(gray * mask.size + np.nonzero(mask)[0])
-    if not found:
-        return np.empty(0, dtype=np.int64)
-    half = np.concatenate(found).astype(np.int64)
-    return np.sort(np.concatenate([half, half ^ ((1 << n) - 1)]))
+    half = _kernel.half_cube_hits(arr, lambda y: _membership_hits(y, tol), ((-1.0, 1.0), tol), indices=True)
+    return np.sort(np.concatenate([half, half ^ ((1 << arr.shape[0]) - 1)]))
 
 
 def mc_score(

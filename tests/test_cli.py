@@ -1,6 +1,5 @@
 import json
 import re
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -450,15 +449,19 @@ def test_inputs_echo_every_flag(capsys, tmp_path):
 
 def test_unrenderable_output_is_a_json_error(capsys, tmp_path):
     # the permanent of this matrix overflows, and an echoed --group-tol of inf
-    # cannot be written as JSON either: neither may leave a partial stdout
+    # cannot be written as JSON either: neither may leave a partial stdout,
+    # and numpy's overflow warnings (errors under pytest) must not reach stderr
     big = tmp_path / "big.txt"
     save_matrix(big, np.full((2, 2), 1e200))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
-        code, out, err = run_cli(capsys, "perm", "--matrix", str(big))
+    code, out, err = run_cli(capsys, "perm", "--matrix", str(big))
     assert (code, out) == (1, "")
+    assert err.count("\n") == 1
     assert json.loads(err)["error"] == {"type": "ValueError",
                                         "message": "cannot serialize non-finite float nan"}
+    # the same holds on the Monte Carlo pool's threads
+    code, out, err = run_cli(capsys, "threshold-score", "--matrix", str(big), "--theta", "0.5",
+                             "--mode", "mc", "--samples", "70000", "--seed", "1", "--threads", "2")
+    assert (code, err) == (0, "")
     code, out, err = run_cli(capsys, "construct", "--family", "rank1", "--n", "2", "--t", "1,1",
                              "--group-tol", "inf", "--out", str(tmp_path / "m.txt"))
     assert (code, out) == (1, "")

@@ -219,6 +219,17 @@ def test_gap_properness_detects_collisions():
     assert singleton.is_proper()
 
 
+def test_too_fine_group_tol_is_not_an_improper_gap():
+    # keys of 1/1e-300 would overflow int64; that is a too-fine grid, not a
+    # collision of distinct coefficients
+    gap = GapDescriptor(np.ones((1, 4)), (-1,), (1,))
+    assert gap_perturbed_selector(np.eye(4), gap, 11, group_tol=1e-12).n == 4
+    with pytest.raises(PreconditionError, match="too fine"):
+        gap_perturbed_selector(np.eye(4), gap, 11, group_tol=1e-300)
+    with pytest.raises(PreconditionError, match="too fine"):
+        gap.is_proper(1e-300)
+
+
 def test_gap_membership_round_trip():
     gap = GapDescriptor(np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]), (-2, -1), (2, 1))
     assert gap_membership(np.array([1.0, 0.0, 0.0]), gap) == (1, 0)

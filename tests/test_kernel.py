@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cubescore import _kernel
-from cubescore.constructors import rank_one_orthogonal
+from cubescore.constructors import _zero_sum_probability, rank_one_orthogonal
 from cubescore.core import PreconditionError
 from cubescore.permanent import bernoulli_permanent, ryser_value
 from cubescore.score import exact_score, mc_score, threshold_score
@@ -102,3 +102,83 @@ def test_grid_keys_must_stay_exact():
         _kernel.modal_signed_sum(np.array([[1e8, 1e8]]), 1e-9)
     count, _, _ = _kernel.modal_signed_sum(np.array([[1e6, 1e6]]), 1e-9)
     assert count == 2
+
+
+def signed_sums(t):
+    # every signed sum t . x in plain integer arithmetic
+    k = np.arange(1 << t.size)
+    return (1 - 2 * ((k[:, None] >> np.arange(t.size)) & 1)) @ t
+
+
+@pytest.mark.parametrize("share", [1.0, -1.0], ids=["filter", "dense"])
+def test_zero_sum_count_matches_a_recount(monkeypatch, share):
+    monkeypatch.setattr(_kernel, "_FILTER_SHARE", share)
+    rng = np.random.default_rng(6)
+    for n in (1, 2, 9, 13, 14, 16):
+        t = rng.integers(1, 4, size=n)
+        t[0] = 1
+        expected = np.count_nonzero(signed_sums(t) == 0) / (1 << n)
+        assert _zero_sum_probability(t.astype(float), 1e-9) == expected
+    # entries on the 2**-49 grid with |t|_1 < 16 make every partial sum
+    # exact, so the recount is exact too.  1036 sums each lie at exactly
+    # +-tol and 2**-48 inside and outside it: one and two ulps of the
+    # operands, within the window's widened edges, where each is checked
+    tol, e = 2.0**-10, 2.0**-49
+    t = np.array([1, 1 + tol, 1 + tol + e, 1 + tol - e, 1, 1, 1, 1, 0.5, 0.5, 0.25, 0.25, 0.75, 1, 1, 0.75])
+    units = np.round(t / e).astype(np.int64)
+    sums = np.abs(signed_sums(units)) - round(tol / e)
+    assert [np.count_nonzero(sums == d) for d in (-2, 0, 2)] == [1036, 1036, 1036]
+    assert _zero_sum_probability(t, tol) == np.count_nonzero(sums <= 0) / (1 << t.size)
+
+
+def membership(tol):
+    return lambda y: np.abs(np.abs(y, out=y) - 1.0) <= tol
+
+
+def test_dense_hits_take_the_dense_walk():
+    # a signed permutation hits everywhere and the signed reflection on 18%
+    # of the cube: too many candidates for the filter to pay
+    rng = np.random.default_rng(7)
+    n = 20
+    signs = rng.choice([-1.0, 1.0], size=n)
+    for m in (np.eye(n)[rng.permutation(n)] * signs,
+              signs[:, None] * (np.eye(n) - 0.1)[rng.permutation(n)]):
+        assert _kernel._window_filter(m, membership(1e-9), (-1.0, 1.0), 1e-9, False) is None
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))  # next to no hits: filtered
+    assert sum(_kernel._window_filter(q, membership(1e-9), (-1.0, 1.0), 1e-9, False)) == 0
+
+
+def test_overflowing_sums_are_checked_not_counted(monkeypatch):
+    # pairs of 1e308 overflow to +-inf unless they cancel, in the low image
+    # (coordinates 0, 1) and in the offsets (12, 13); no window fits around
+    # an infinite offset, and inf + -inf is no hit, so such blocks check
+    # every column, and the count equals the dense walk's
+    t = np.ones(15)
+    t[[0, 1, 12, 13]] = 1e308
+    t[14] = 2.0  # the fixed last coordinate; 6 of the 10 other ones must be -1
+    rule = lambda y: np.abs(y[0]) <= 1e-9
+    counts = []
+    for share in (1.0, -1.0):
+        monkeypatch.setattr(_kernel, "_FILTER_SHARE", share)
+        with np.errstate(over="ignore", invalid="ignore"):
+            counts.append(_kernel.half_cube_hits(t[None, :], rule, ((0.0,), 1e-9)))
+    assert counts[0] == counts[1] == 4 * 210
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_columns_on_the_window_edge_count_as_in_the_dense_walk(monkeypatch, rows):
+    # tol is set to some vector's own distance from the centers, as the walk
+    # computes it, so that vector and its rounding neighbours sit on the edge
+    rng = np.random.default_rng(9)
+    centers = (0.0,) if rows == 1 else (-1.0, 1.0)
+    for _ in range(10):
+        m = rng.normal(size=(rows, 15)) * 0.1 + (rows > 1)
+        y, _, _ = next(_kernel.iter_sign_blocks(m, half=True))
+        gap = np.abs(np.abs(y) - (rows > 1)).max(axis=0)
+        for tol in gap[rng.integers(0, gap.size, 3)]:
+            rule = lambda y: np.abs(np.abs(y, out=y) - (rows > 1)).max(axis=0) <= tol
+            counts = []
+            for share in (1.0, -1.0):
+                monkeypatch.setattr(_kernel, "_FILTER_SHARE", share)
+                counts.append(_kernel.half_cube_hits(m, rule, (centers, tol)))
+            assert counts[0] == counts[1] > 0

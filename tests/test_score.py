@@ -16,6 +16,8 @@ from cubescore.score import (
     threshold_score,
 )
 
+from .conftest import rand_orthogonal
+
 
 def reflected_ones(n):
     # I - (2/n) J maps the all-ones corner onto its own negation
@@ -65,9 +67,26 @@ def test_exact_matches_naive_hit_for_hit(rng):
         assert exact_score(m).hit_count == naive_exact_score(m).hit_count
 
 
-def test_half_cube_walk_matches_naive_for_every_small_n(rng):
+def _no_dense_walk(*args, **kwargs):
+    raise AssertionError("the window filter fell back to the dense walk")
+
+
+def each_walk_path(monkeypatch):
+    """Yield twice: with every windowed walk forced through the sorted-window
+    filter, and with every one forced past it."""
+    for share in (1.0, -1.0):
+        monkeypatch.setattr(_kernel, "_FILTER_SHARE", share)
+        if share > 0:
+            monkeypatch.setattr(_kernel, "iter_sign_blocks", _no_dense_walk)
+        yield
+        monkeypatch.undo()
+
+
+def test_half_cube_walk_matches_naive_for_every_small_n(rng, monkeypatch):
     # n = 1..14 covers a walk with no high coordinates, blocks narrower than
-    # LOW_BITS, the first high bit, and odd n
+    # LOW_BITS, the first high bit, and odd n; the random orthogonal matrices
+    # have next to no hits, the others many
+    cases = []
     for n in range(1, 15):
         signs = rng.choice([-1.0, 1.0], size=n)
         t = np.ones(n)
@@ -75,13 +94,18 @@ def test_half_cube_walk_matches_naive_for_every_small_n(rng):
         for m in (
             signs[:, None] * reflected_ones(n)[rng.permutation(n)],
             rank_one_orthogonal(n, t).matrix,
+            rand_orthogonal(rng, n),
+            np.eye(n)[rng.permutation(n)] * signs,
         ):
-            fast = exact_hit_indices(m)
-            assert fast.tolist() == naive_hit_indices(m).tolist()
-            assert exact_score(m).hit_count == fast.size
+            cases += [(m, tol, naive_hit_indices(m, tol).tolist()) for tol in (1e-9, 0.3)]
+    for _ in each_walk_path(monkeypatch):
+        for m, tol, naive in cases:
+            fast = exact_hit_indices(m, tol)
+            assert fast.tolist() == naive
+            assert exact_score(m, tol).hit_count == fast.size
 
 
-def test_hits_near_the_tolerance_edge_survive_large_entries(rng):
+def test_hits_near_the_tolerance_edge_survive_large_entries(rng, monkeypatch):
     # I + 200 u 1^T (u random signs) with three entries nudged.  Only
     # balanced vectors can hit.  Row 1 moves every balanced vector's image
     # 0.5*tol off the unit sphere, inside the tolerance; row 0 moves it a
@@ -93,10 +117,12 @@ def test_hits_near_the_tolerance_edge_survive_large_entries(rng):
     m[0, n - 1] += 0.75 * tol
     m[0, n - 2] += 0.75 * tol
     m[1, n - 3] += 0.5 * tol
-    fast = exact_hit_indices(m, tol)
-    assert fast.size == 2 * math.comb(n - 2, n // 2 - 1)
-    assert fast.tolist() == naive_hit_indices(m, tol).tolist()
-    assert exact_score(m, tol).hit_count == fast.size
+    naive = naive_hit_indices(m, tol).tolist()
+    assert len(naive) == 2 * math.comb(n - 2, n // 2 - 1)
+    for _ in each_walk_path(monkeypatch):
+        fast = exact_hit_indices(m, tol)
+        assert fast.tolist() == naive
+        assert exact_score(m, tol).hit_count == fast.size
 
 
 @pytest.mark.parametrize("walk", [{}, {"half": True}], ids=["full", "half"])
