@@ -22,20 +22,25 @@ each drawn from its own counter-based Philox substream (:func:`block_rng`).
 A block's signs are packed bits (:func:`sample_signs`): full-range
 ``uint64`` words read as little-endian bytes and unpacked low bit first, so
 one word gives 64 samples of one coordinate on any platform.  The block's
-image ``M @ x`` is one matrix product of ``[-2M | M 1]`` with the bits and a
+image ``M @ x`` is the matrix product of ``[-2M | M 1]`` with the bits and a
 row of ones, into a scratch buffer that its reducer then overwrites in
 place.  Everything here is deterministic: fixed block layout, fixed visit
-order, and per-block substreams, which make results independent of how
-blocks are dispatched to threads.
+order, per-block substreams, and products whose sums do not depend on
+OpenBLAS's thread count, which make results independent of how blocks are
+dispatched to threads.  While a thread pool runs, OpenBLAS runs
+single-threaded (:func:`_single_threaded_blas`), so the two kinds of thread
+do not compete for the same cores.
 """
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
+import ctypes
+import functools
 import itertools
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterator
 
 import numpy as np
@@ -57,6 +62,11 @@ _FILTER_BATCH = 1 << 15
 
 #: Sample rows generated per Monte Carlo block.
 MC_BLOCK = 1 << 16
+
+#: Columns of ``[-2M | M 1]`` per matrix product in a Monte Carlo block.
+#: OpenBLAS sums a product of at most its K block (256 or more on common
+#: kernels) in one pass, but splits a deeper one by its thread count.
+_MC_DEPTH = 256
 
 
 def low_signs(b: int) -> np.ndarray:
@@ -398,15 +408,20 @@ def mc_sign_blocks(
     block order.
 
     ``bits`` is the block's :func:`sample_signs` array and ``y`` the
-    ``(rows_of_M, block_rows)`` image ``M @ (1 - 2*bits)``, computed as one
+    ``(rows_of_M, block_rows)`` image ``M @ (1 - 2*bits)``, computed as the
     matrix product ``[-2M | M 1] @ [bits; 1]`` into a scratch buffer owned
     by the pool thread; ``stat`` may overwrite ``y`` but not keep it.  Every
     block is drawn from its own substream and multiplied by itself, so the
     thread count never changes a number.
+
+    The product does not depend on OpenBLAS's own thread count either, which
+    is lower inside a thread pool: it covers whole 64-sample words, because
+    OpenBLAS sums a ragged last few columns differently when threaded, and
+    it takes ``_MC_DEPTH`` columns of ``[-2M | M 1]`` at a time.
     """
     mrows, n = m.shape
     a = np.column_stack([-2.0 * m, m.sum(axis=1)])
-    width = min(mc_rows(n), samples)  # the widest block
+    width = -(-min(mc_rows(n), samples) // 64) * 64  # the widest block, in whole words
     scratch = threading.local()
 
     def one_block(i: int, rows: int):
@@ -414,10 +429,16 @@ def mc_sign_blocks(
         if not hasattr(scratch, "x"):
             scratch.x = np.ones((n + 1, width))  # the last row stays 1
             scratch.y = np.empty((mrows, width))
-        x, y = scratch.x[:, :rows], scratch.y[:, :rows]
-        x[:n] = bits
-        np.matmul(a, x, out=y)
-        return stat(y, bits)
+            scratch.part = np.empty((mrows, width)) if n >= _MC_DEPTH else None
+        cols = -(-rows // 64) * 64  # whole words; the columns past rows hold finite leftovers
+        x, y = scratch.x[:, :cols], scratch.y[:, :cols]
+        x[:n, :rows] = bits
+        np.matmul(a[:, :_MC_DEPTH], x[:_MC_DEPTH], out=y)
+        for k in range(_MC_DEPTH, n + 1, _MC_DEPTH):
+            part = scratch.part[:, :cols]
+            np.matmul(a[:, k : k + _MC_DEPTH], x[k : k + _MC_DEPTH], out=part)
+            y += part
+        return stat(y[:, :rows], bits)
 
     return map_sample_blocks(one_block, samples, n, threads)
 
@@ -454,8 +475,9 @@ def check_samples(samples: int) -> int:
 def map_blocks(fn: Callable[[int], object], nblocks: int, threads: int = 1) -> list:
     """Apply ``fn`` to block indices ``0..nblocks-1``, in-order results.
 
-    With ``threads > 1`` blocks run on a thread pool; because every block owns
-    its Philox substream and results are reduced in block order, the thread
+    With ``threads > 1`` blocks run on a thread pool, with OpenBLAS
+    single-threaded for the pool's lifetime; because every block owns its
+    Philox substream and results are reduced in block order, the thread
     count never changes the outcome.  Each block runs in a copy of the
     caller's context, so the caller's ``np.errstate`` holds there too.
     """
@@ -463,6 +485,54 @@ def map_blocks(fn: Callable[[int], object], nblocks: int, threads: int = 1) -> l
         raise PreconditionError(f"threads must be a positive integer, got {threads!r}")
     if threads == 1 or nblocks <= 1:
         return [fn(i) for i in range(nblocks)]
-    with ThreadPoolExecutor(max_workers=int(threads)) as pool:
+    from concurrent.futures import ThreadPoolExecutor
+
+    with _single_threaded_blas(), ThreadPoolExecutor(max_workers=int(threads)) as pool:
         futures = [pool.submit(contextvars.copy_context().run, fn, i) for i in range(nblocks)]
         return [f.result() for f in futures]
+
+
+@functools.cache
+def _openblas_threads():
+    """``(set, get)`` for the thread count of numpy's bundled OpenBLAS, or
+    ``None`` when numpy links another BLAS."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        return lib.scipy_openblas_set_num_threads64_, lib.scipy_openblas_get_num_threads64_
+    except (AttributeError, OSError):
+        return None
+
+
+_blas_lock = threading.Lock()
+_blas_depth = 0  # open scopes of _single_threaded_blas
+_blas_saved = 1  # the count to restore when the last scope closes
+
+
+@contextlib.contextmanager
+def _single_threaded_blas():
+    """Run OpenBLAS on one thread inside the block, then restore its count.
+
+    A matmul on a pool thread would otherwise start OpenBLAS's own threads,
+    which compete with the pool for the same cores.  The count is
+    process-global, so overlapping scopes share one setting: the first to
+    enter saves the count and the last to leave restores it.  Without the
+    OpenBLAS symbols this does nothing.
+    """
+    global _blas_depth, _blas_saved
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    set_threads, get_threads = blas
+    with _blas_lock:
+        if _blas_depth == 0:
+            _blas_saved = get_threads()
+            set_threads(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                set_threads(_blas_saved)

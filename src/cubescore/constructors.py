@@ -15,7 +15,6 @@ parameters that produced it.  Families:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,11 +95,20 @@ class GapDescriptor:
         return out
 
     def enumerate_elements(self):
-        """Yield ``(coefficients, vector)`` for every coefficient tuple."""
+        """Yield ``(coefficients, vector)`` for every coefficient tuple, in
+        lexicographic order of the coefficients."""
+        coeffs, elements = self._elements()
+        for k, vec in zip(coeffs.tolist(), elements):
+            yield tuple(k), vec
+
+    def _elements(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every coefficient tuple, as the rows of a ``(size, rank)`` array in
+        lexicographic order, and the matching elements, one product for all."""
         if self.size() > GAP_SIZE_CAP:
             raise CapacityError(f"GAP enumeration is capped at {GAP_SIZE_CAP} elements")
-        for coeffs in itertools.product(*(range(l, u + 1) for l, u in zip(self.lower, self.upper))):
-            yield coeffs, np.asarray(coeffs, dtype=float) @ self.generators
+        shape = [u - l + 1 for l, u in zip(self.lower, self.upper)]
+        coeffs = np.indices(shape).reshape(self.rank, -1).T + np.asarray(self.lower)
+        return coeffs, coeffs.astype(float) @ self.generators
 
     def is_proper(self, tol: float = DEFAULT_TOLERANCES.membership_tol) -> bool:
         """True when distinct coefficient tuples give distinct elements.
@@ -109,10 +117,9 @@ class GapDescriptor:
         generators.  Enumerates the GAP, so the size cap applies.
         """
         tol = check_fraction(tol, "tol")
-        keys = _kernel.grid_keys(np.array([vec for _, vec in self.enumerate_elements()]), tol)
-        # asking for the counts also spares np.unique its lazy import of numpy.ma
-        _, counts = np.unique(keys, axis=0, return_counts=True)
-        return int(counts.max()) == 1
+        keys = _kernel.grid_keys(self._elements()[1], tol)
+        keys = keys[np.lexsort(keys.T)]  # equal keys become neighbours
+        return not bool((keys[1:] == keys[:-1]).all(axis=1).any())
 
     def sample_coefficients(self, rng: np.random.Generator, count: int) -> np.ndarray:
         lo = np.asarray(self.lower, dtype=np.int64)

@@ -136,7 +136,10 @@ def bernoulli_permanent(
         g = np.prod(y, axis=0)
         # prod_i x_i is -1 where the block has an odd number of -1 signs
         np.negative(g, out=g, where=np.bitwise_xor.reduce(bits, axis=0).view(bool))
-        return float(g.sum()), float(g @ g)
+        # numpy's pairwise sums, not a BLAS dot, whose split of the sum
+        # would follow the BLAS thread count
+        total = float(g.sum())
+        return total, float(np.square(g, out=g).sum())
 
     sums = _kernel.mc_sign_blocks(arr, samples, seed, one_block, threads)
     total = math.fsum(s for s, _ in sums)

@@ -10,6 +10,8 @@ from cubescore.cli import build_parser, main
 from cubescore.constructors import rank_r_orthogonal
 from cubescore.core import save_matrix
 
+from .conftest import run_python
+
 jsonschema = pytest.importorskip("jsonschema")
 
 SCHEMA_PATH = Path(cubescore.__file__).parent / "schemas" / "command_result.schema.json"
@@ -466,3 +468,9 @@ def test_unrenderable_output_is_a_json_error(capsys, tmp_path):
                              "--group-tol", "inf", "--out", str(tmp_path / "m.txt"))
     assert (code, out) == (1, "")
     assert json.loads(err)["command"] == "construct"
+
+
+def test_importing_the_cli_leaves_the_thread_pool_unloaded():
+    # only a threaded Monte Carlo call needs concurrent.futures
+    code = "import sys, cubescore.cli\nprint('concurrent.futures' in sys.modules)\n"
+    assert run_python(code) == "False\n"

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -247,6 +248,32 @@ def test_gap_membership_every_element(rng):
     assert gap.is_proper()
     for coeffs, vec in gap.enumerate_elements():
         assert gap_membership(vec, gap) == coeffs
+
+
+def test_gap_elements_keep_their_order_and_properness(rng):
+    # the test GAPs above, against a per-element recount in itertools order;
+    # one product for all elements may differ from one per element in the
+    # last bit, on the Gaussian generators
+    gaps = [
+        (GapDescriptor(np.eye(2), (-1, -2), (1, 2), symmetric=True), True),
+        (GapDescriptor(np.array([[1.0], [2.0]]), (0, 0), (2, 1)), False),
+        (GapDescriptor(np.array([[3.0]]), (0,), (5,)), True),
+        (GapDescriptor(np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]), (-2, -1), (2, 1)), True),
+        (GapDescriptor(np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 3.0, -1.0, 2.0]]), (-3, -2), (3, 2)), True),
+        (GapDescriptor(np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]), (0, 0), (2, 1)), False),
+        (GapDescriptor(np.zeros((1, 4)), (0,), (0,)), True),
+        (GapDescriptor(rng.normal(size=(3, 5)), (-2, 0, -1), (2, 3, 1)), True),
+    ]
+    for gap, proper in gaps:
+        ranges = [range(l, u + 1) for l, u in zip(gap.lower, gap.upper)]
+        expected = [(c, np.asarray(c, dtype=float) @ gap.generators) for c in itertools.product(*ranges)]
+        got = list(gap.enumerate_elements())
+        assert [c for c, _ in got] == [c for c, _ in expected]
+        assert all(type(k) is int for c, _ in got for k in c)
+        np.testing.assert_allclose([v for _, v in got], [v for _, v in expected], rtol=1e-15, atol=1e-15)
+        assert gap.is_proper() == proper
+        if proper and np.linalg.matrix_rank(gap.generators) == gap.rank:
+            assert all(gap_membership(v, gap) == c for c, v in got)
 
 
 def test_gap_membership_degenerate_generators():

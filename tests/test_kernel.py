@@ -1,5 +1,10 @@
 """The reducers of ``_kernel``: hit counts, parity-weighted product sums and the
-modal signed sum, pinned to values they must keep bit for bit."""
+modal signed sum, pinned to values they must keep bit for bit; and the Monte
+Carlo pool's single-threaded BLAS scope."""
+
+import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -182,3 +187,106 @@ def test_columns_on_the_window_edge_count_as_in_the_dense_walk(monkeypatch, rows
                 monkeypatch.setattr(_kernel, "_FILTER_SHARE", share)
                 counts.append(_kernel.half_cube_hits(m, rule, (centers, tol)))
             assert counts[0] == counts[1] > 0
+
+
+@pytest.fixture
+def blas_threads():
+    """OpenBLAS's thread-count getter, with the count set to 2 for the test
+    and restored afterwards; skips where numpy's BLAS is not OpenBLAS."""
+    blas = _kernel._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy does not link its bundled OpenBLAS")
+    set_threads, get_threads = blas
+    before = get_threads()
+    set_threads(2)
+    yield get_threads
+    set_threads(before)
+
+
+def reflection(n=20):
+    return np.eye(n) - (2.0 / n) * np.ones((n, n))
+
+
+def test_a_thread_pool_runs_blas_single_threaded_and_restores_it(blas_threads):
+    m = reflection()
+    assert mc_score(m, 1 << 18, 3, threads=2) == mc_score(m, 1 << 18, 3)
+    assert blas_threads() == 2
+    inside = _kernel.map_blocks(lambda i: blas_threads(), 4, threads=2)
+    assert inside == [1, 1, 1, 1] and blas_threads() == 2
+    assert _kernel.map_blocks(lambda i: blas_threads(), 4) == [2, 2, 2, 2]
+
+    def fail(i):
+        if i == 2:
+            raise ValueError("block 2")
+        return i
+
+    with pytest.raises(ValueError, match="block 2"):
+        _kernel.map_blocks(fail, 4, threads=2)
+    assert blas_threads() == 2
+
+
+def test_overlapping_scopes_restore_the_count_once(blas_threads):
+    # the first scope to leave must not restore the count under the second
+    outer = _kernel._single_threaded_blas()
+    inner = _kernel._single_threaded_blas()
+    outer.__enter__()
+    inner.__enter__()
+    try:
+        outer.__exit__(None, None, None)
+        assert blas_threads() == 1
+    finally:
+        inner.__exit__(None, None, None)
+    assert blas_threads() == 2
+
+
+def test_concurrent_threaded_calls_restore_the_count(blas_threads):
+    # more calling threads than cores, switching often, each call opening
+    # and closing its own scope while others are open
+    m = reflection(4)
+    expected = mc_score(m, 1 << 18, 4)
+    start = threading.Barrier(4)
+    reports = []
+
+    def call():
+        start.wait()
+        for _ in range(3):
+            reports.append(mc_score(m, 1 << 18, 4, threads=2))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=call) for _ in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert reports == [expected] * 12
+    assert blas_threads() == 2
+
+
+def test_results_are_unchanged_without_the_blas_symbols(monkeypatch):
+    m = reflection()
+    reports = [mc_score(m, 1 << 18, 5, threads=2)]
+    monkeypatch.setattr(_kernel, "_openblas_threads", lambda: None)
+    reports += [mc_score(m, 1 << 18, 5, threads=t) for t in (1, 2)]
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+@pytest.mark.parametrize("n", [1, 20, 64, 65, 400])
+def test_block_images_are_equal_at_every_thread_count(n):
+    # one thread multiplies with OpenBLAS's own threads, a pool with one
+    # BLAS thread each; three blocks, the last of 37 rows.  A block of 64,527
+    # rows (n=65) ends in a ragged word, and n=400 needs two products per
+    # block.  16 rows of M are enough for OpenBLAS to sum a ragged word
+    # differently when threaded, and with a digest of each block's bytes
+    # they keep the memory to the pool's scratch buffers
+    m = np.random.default_rng(n).normal(size=(16, n))
+    samples = 2 * _kernel.mc_rows(n) + 37
+    image = lambda y, _: hashlib.sha256(y.tobytes()).digest()
+    first = _kernel.mc_sign_blocks(m, samples, 11, image)
+    assert len(first) == 3
+    for threads in (2, 3):
+        assert _kernel.mc_sign_blocks(m, samples, 11, image, threads) == first

@@ -15,7 +15,7 @@ from cubescore.permanent import (
     ryser_value,
 )
 
-from .conftest import rand_col_stochastic
+from .conftest import rand_col_stochastic, run_python
 
 
 def test_hand_values_two_by_two():
@@ -172,6 +172,20 @@ def test_mc_samplers_with_a_partial_last_block_are_thread_invariant(rng):
         reports = [run(t) for t in (1, 2, 3)]
         assert reports[0].samples == samples and reports[0].stderr > 0.0
         assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+def test_seeded_bernoulli_mc_does_not_depend_on_the_blas_thread_count():
+    # a BLAS dot splits its sum across BLAS threads; the sums of squares
+    # behind stderr must not, so two processes give the same digits
+    code = (
+        "import numpy as np\n"
+        "from cubescore.permanent import bernoulli_permanent\n"
+        "g = np.random.default_rng(0).normal(size=(7, 7))\n"
+        "rep = bernoulli_permanent(g, mode='mc', samples=3 * 65536 + 37, seed=5)\n"
+        "print(repr(rep.value), repr(rep.stderr))\n"
+    )
+    one, two = (run_python(code, OPENBLAS_NUM_THREADS=k) for k in ("1", "2"))
+    assert one == two
 
 
 @pytest.mark.parametrize("n", [6, 7])
