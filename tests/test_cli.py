@@ -474,3 +474,52 @@ def test_importing_the_cli_leaves_the_thread_pool_unloaded():
     # only a threaded Monte Carlo call needs concurrent.futures
     code = "import sys, cubescore.cli\nprint('concurrent.futures' in sys.modules)\n"
     assert run_python(code) == "False\n"
+
+
+# The CLI's exact outputs: integer and signed-permutation inputs, whose every
+# number is exact, so stdout must match the bytes recorded in tests/data/cli/
+# (one file per label) once wall_time_ms is masked and the temporary
+# directory is written as {tmp}.  A change to these bytes is a change to the
+# CLI's output and belongs in the changelog along with the new file.
+GOLDEN_DIR = Path(__file__).parent / "data" / "cli"
+GOLDEN_CASES = {
+    "score-exact": ["score-exact", "--matrix", "{signed_perm}"],
+    "threshold-score": ["threshold-score", "--matrix", "{signed_perm}", "--theta", "0.5"],
+    "perm": ["perm", "--matrix", "{zero_one}"],
+    "construct-perm": ["construct", "--family", "perm", "--n", "4", "--pi", "2,0,3,1",
+                       "--signs", "1,-1,-1,1", "--out", "{tmp}/perm.txt"],
+    "construct-selector": ["construct", "--family", "selector", "--n", "3", "--columns", "0,0,2",
+                           "--signs", "1,-1,1", "--out", "{tmp}/selector.txt"],
+    "construct-rank1": ["construct", "--family", "rank1", "--n", "4", "--t", "1,1,2,-2",
+                        "--out", "{tmp}/rank1.txt"],
+    "rho": ["rho", "--vectors-file", "{int_vectors}"],
+    "analyze": ["analyze", "--matrix", "{perm4}"],
+    "classify-stochastic": ["classify-stochastic", "--matrix", "{perm4}"],
+}
+
+
+@pytest.fixture
+def golden_files(tmp_path):
+    perm4 = np.zeros((4, 4))
+    perm4[[1, 3, 0, 2], np.arange(4)] = 1.0
+    signed = np.zeros((5, 5))
+    signed[[2, 0, 4, 1, 3], np.arange(5)] = [1.0, -1.0, -1.0, 1.0, -1.0]
+    matrices = {
+        "signed_perm": signed,
+        "zero_one": np.array([[1, 1, 1, 0], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1]], dtype=float),
+        "int_vectors": np.array([[1, 2, 0, -1, 1, 3], [0, 1, 1, 1, -2, 0]], dtype=float),
+        "perm4": perm4,
+    }
+    files = {"tmp": str(tmp_path)}
+    for name, m in matrices.items():
+        files[name] = str(tmp_path / f"{name}.txt")
+        save_matrix(files[name], m)
+    return files
+
+
+@pytest.mark.parametrize("label", list(GOLDEN_CASES))
+def test_stdout_matches_the_recorded_bytes(capsys, golden_files, label):
+    code, out, err = run_cli(capsys, *(a.format(**golden_files) for a in GOLDEN_CASES[label]))
+    assert (code, err) == (0, "")
+    masked = WALL_TIME.sub('"wall_time_ms":0', out).replace(golden_files["tmp"], "{tmp}")
+    assert masked == (GOLDEN_DIR / f"{label}.json").read_text(encoding="ascii")

@@ -191,3 +191,80 @@ def test_stochastic_tol_must_be_a_fraction():
     assert not is_column_stochastic(a)
     with pytest.raises(PreconditionError, match="stochastic_tol"):
         is_column_stochastic(a, float("inf"))
+
+
+def _rejection_cases():
+    # (label, call, error class) for every entry point whose input rule lives
+    # in one shared check; each call must fail before any work is done
+    from cubescore.constructors import GapDescriptor, gap_perturbed_selector, perm_reflection
+    from cubescore.constructors import rank_r_orthogonal, selector_matrix
+    from cubescore.permanent import balls_in_bins_estimate, bernoulli_permanent
+    from cubescore.score import mc_score, product_statistic
+    from cubescore.structure import hamming_check, procrustes_fit, stochastic_certificate
+    from cubescore.structure import trace_bound_check
+
+    eye, uniform = np.eye(2), np.full((2, 2), 0.5)
+    gap = GapDescriptor(np.ones((1, 4)), (-1,), (1,))
+    d = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    mc_entry_points = {
+        "mc_score": lambda samples, seed, threads: mc_score(eye, samples, seed, threads=threads),
+        "bernoulli_mc": lambda samples, seed, threads: bernoulli_permanent(eye, "mc", samples, seed, threads),
+        "bins": lambda samples, seed, threads: balls_in_bins_estimate(uniform, samples, seed, threads),
+    }
+    cases = []
+    for name, call in mc_entry_points.items():
+        for flag, bad in [("seed", -1), ("seed", 1.5), ("seed", True),
+                          ("samples", 0), ("samples", 2.5), ("samples", True),
+                          ("threads", 0), ("threads", 1.0), ("threads", True)]:
+            args = {"samples": 100, "seed": 1, "threads": 1, flag: bad}
+            cases.append((f"{name}-{flag}={bad!r}", lambda call=call, args=args: call(**args),
+                          PreconditionError))
+    for bad in (-1, 1.5, True):
+        cases.append((f"gap_perturbed-seed={bad!r}", lambda bad=bad: gap_perturbed_selector(np.eye(4), gap, bad),
+                      PreconditionError))
+    signs = {
+        "perm_reflection": lambda s: perm_reflection(2, [1, 0], s),
+        "selector_matrix": lambda s: selector_matrix(2, [(0, s[0]), (1, s[1])]),
+        "rank_r_diag_signs": lambda s: rank_r_orthogonal(5, d, diag_signs=[1, 1, 1, *s]),
+        "product_statistic": lambda s: product_statistic(eye, s),
+        "procrustes_fit": lambda s: procrustes_fit([(s, [1, 1])]),
+        "hamming_check": lambda s: hamming_check(s, [1, 1]),
+        "from_components": lambda s: SignVector.from_components(s),
+    }
+    for name, call in signs.items():
+        for bad in ([1, 0.5], [1, 0], [1, -2], [1, float("nan")]):
+            cases.append((f"{name}-signs={bad!r}", lambda call=call, bad=bad: call(bad), PreconditionError))
+    cases += [
+        ("perm_reflection-signs-length", lambda: perm_reflection(2, [1, 0], [1, 1, 1]), PreconditionError),
+        ("rank_r_diag_signs-length", lambda: rank_r_orthogonal(5, d, diag_signs=[1, 1]), PreconditionError),
+        ("product_statistic-2d", lambda: product_statistic(eye, [[1, 1]]), PreconditionError),
+        ("product_statistic-length", lambda: product_statistic(eye, [1, 1, 1]), PreconditionError),
+        ("procrustes_fit-ragged", lambda: procrustes_fit([([1, 1], [1, 1, 1])]), PreconditionError),
+        ("hamming_check-length", lambda: hamming_check([1, 1], [1, 1, 1]), PreconditionError),
+        ("from_components-empty", lambda: SignVector.from_components([]), ShapeError),
+        ("from_components-2d", lambda: SignVector.from_components([[1, 1]]), ShapeError),
+    ]
+    not_stochastic = [np.ones((2, 2)), np.array([[1.5, 0.0], [-0.5, 1.0]])]
+    for k, a in enumerate(not_stochastic):
+        cases.append((f"bins-not-stochastic-{k}", lambda a=a: balls_in_bins_estimate(a, 100, 1), PreconditionError))
+        cases.append((f"stochastic_certificate-not-stochastic-{k}", lambda a=a: stochastic_certificate(a),
+                      PreconditionError))
+    blocks = {
+        "rank_r_a": lambda blk: rank_r_orthogonal(5, d, a=blk),
+        "trace_bound_b": lambda blk: trace_bound_check([1.0, 2.0], blk),
+    }
+    for name, call in blocks.items():
+        for label, blk, err in [("symmetric", np.array([[0.0, 1.0], [1.0, 0.0]]), PreconditionError),
+                                ("diagonal", np.eye(2), PreconditionError),
+                                ("3x3", np.zeros((3, 3)), PreconditionError),
+                                ("2x3", np.zeros((2, 3)), ShapeError),
+                                ("1-d", np.zeros(2), ShapeError)]:
+            cases.append((f"{name}-{label}", lambda call=call, blk=blk: call(blk), err))
+    return cases
+
+
+@pytest.mark.parametrize("call, error", [pytest.param(c, e, id=label) for label, c, e in _rejection_cases()])
+def test_entry_points_reject_bad_inputs(call, error):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
