@@ -45,7 +45,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .core import CapacityError, ENUMERATION_CAP, PreconditionError, check_fraction
+from .core import CapacityError, ENUMERATION_CAP, PreconditionError, check_fraction, check_int
 
 #: Coordinates handled as one vectorized block in exhaustive walks.
 LOW_BITS = 12
@@ -457,19 +457,7 @@ def check_mode(mode: str, samples: int | None, seed: int | None) -> tuple[int, i
         raise PreconditionError(f"mode must be 'exact' or 'mc', got {mode!r}")
     if samples is None or seed is None:
         raise PreconditionError("mc mode requires both samples and seed")
-    return check_samples(samples), check_seed(seed)
-
-
-def check_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
-        raise PreconditionError(f"seed must be a nonnegative integer, got {seed!r}")
-    return int(seed)
-
-
-def check_samples(samples: int) -> int:
-    if not isinstance(samples, (int, np.integer)) or isinstance(samples, bool) or samples < 1:
-        raise PreconditionError(f"samples must be a positive integer, got {samples!r}")
-    return int(samples)
+    return check_int(samples, "samples", 1), check_int(seed, "seed", 0)
 
 
 def map_blocks(fn: Callable[[int], object], nblocks: int, threads: int = 1) -> list:
@@ -481,13 +469,12 @@ def map_blocks(fn: Callable[[int], object], nblocks: int, threads: int = 1) -> l
     count never changes the outcome.  Each block runs in a copy of the
     caller's context, so the caller's ``np.errstate`` holds there too.
     """
-    if not isinstance(threads, (int, np.integer)) or isinstance(threads, bool) or threads < 1:
-        raise PreconditionError(f"threads must be a positive integer, got {threads!r}")
+    threads = check_int(threads, "threads", 1)
     if threads == 1 or nblocks <= 1:
         return [fn(i) for i in range(nblocks)]
     from concurrent.futures import ThreadPoolExecutor
 
-    with _single_threaded_blas(), ThreadPoolExecutor(max_workers=int(threads)) as pool:
+    with _single_threaded_blas(), ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(contextvars.copy_context().run, fn, i) for i in range(nblocks)]
         return [f.result() for f in futures]
 

@@ -53,18 +53,12 @@ from .structure import (
 )
 
 
-def _csv_floats(text: str, flag: str) -> list[float]:
+def _csv(text: str, flag: str, kind: type) -> list:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [kind(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
-        raise PreconditionError(f"{flag} must be a comma-separated list of numbers, got {text!r}") from None
-
-
-def _csv_ints(text: str, flag: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise PreconditionError(f"{flag} must be a comma-separated list of integers, got {text!r}") from None
+        what = "integers" if kind is int else "numbers"
+        raise PreconditionError(f"{flag} must be a comma-separated list of {what}, got {text!r}") from None
 
 
 def _load_gap(path: str) -> GapDescriptor:
@@ -128,24 +122,24 @@ def _cmd_construct(args):
     seed = None
     if family == "perm":
         n = _require(args, "--n", family)
-        pi = _csv_ints(_require(args, "--pi", family), "--pi")
-        signs = _csv_floats(_require(args, "--signs", family), "--signs")
+        pi = _csv(_require(args, "--pi", family), "--pi", int)
+        signs = _csv(_require(args, "--signs", family), "--signs", float)
         cert = perm_reflection(n, pi, signs)
     elif family == "selector":
         n = _require(args, "--n", family)
-        cols = _csv_ints(_require(args, "--columns", family), "--columns")
-        signs = _csv_floats(_require(args, "--signs", family), "--signs")
+        cols = _csv(_require(args, "--columns", family), "--columns", int)
+        signs = _csv(_require(args, "--signs", family), "--signs", float)
         if len(cols) != len(signs):
             raise PreconditionError("--columns and --signs must have the same length")
         cert = selector_matrix(n, list(zip(cols, signs)))
     elif family == "rank1":
         n = _require(args, "--n", family)
-        t = _csv_floats(_require(args, "--t", family), "--t")
+        t = _csv(_require(args, "--t", family), "--t", float)
         cert = rank_one_orthogonal(n, t)
     elif family == "rankr":
         d = load_matrix(_require(args, "--d-file", family))
         a = load_matrix(args.a_file) if args.a_file else None
-        signs = _csv_floats(args.diag_signs, "--diag-signs") if args.diag_signs else None
+        signs = _csv(args.diag_signs, "--diag-signs", float) if args.diag_signs else None
         n = d.shape[0] + d.shape[1]
         if args.n is not None and args.n != n:
             raise PreconditionError(f"--n {args.n} conflicts with d of shape {d.shape} (implies n={n})")
@@ -189,7 +183,7 @@ def _cmd_verify_rankr(args):
 
 
 def _cmd_trace_claim(args):
-    e = _csv_floats(args.e, "--e")
+    e = _csv(args.e, "--e", float)
     b = load_matrix(args.b_file) if args.b_file else None
     return trace_bound_check(e, b, args.psd_tol), None
 

@@ -26,8 +26,11 @@ from .core import (
     DegenerateGeneratorsError,
     InternalCheckError,
     PreconditionError,
+    antisymmetric_block,
     as_matrix,
+    as_signs,
     check_fraction,
+    check_int,
     is_orthogonal,
     numeric_rank,
 )
@@ -65,8 +68,8 @@ class GapDescriptor:
         if g.shape[0] > GAP_RANK_CAP:
             raise CapacityError(f"GAP rank is capped at {GAP_RANK_CAP}, got {g.shape[0]}")
         object.__setattr__(self, "generators", g)
-        lo = tuple(int(v) for v in self.lower)
-        up = tuple(int(v) for v in self.upper)
+        lo = tuple(check_int(v, "every entry of lower", None) for v in self.lower)
+        up = tuple(check_int(v, "every entry of upper", None) for v in self.upper)
         if len(lo) != g.shape[0] or len(up) != g.shape[0]:
             raise PreconditionError(
                 f"bounds must match the generator count {g.shape[0]}, "
@@ -93,13 +96,6 @@ class GapDescriptor:
         for l, u in zip(self.lower, self.upper):
             out *= u - l + 1
         return out
-
-    def enumerate_elements(self):
-        """Yield ``(coefficients, vector)`` for every coefficient tuple, in
-        lexicographic order of the coefficients."""
-        coeffs, elements = self._elements()
-        for k, vec in zip(coeffs.tolist(), elements):
-            yield tuple(k), vec
 
     def _elements(self) -> tuple[np.ndarray, np.ndarray]:
         """Every coefficient tuple, as the rows of a ``(size, rank)`` array in
@@ -182,18 +178,11 @@ class ConstructionCertificate:
     parameters: dict = field(default_factory=dict)
 
 
-def _check_signs(signs, n: int) -> np.ndarray:
-    s = np.asarray(signs, dtype=float)
-    if s.shape != (n,):
-        raise PreconditionError(f"signs must have length {n}, got shape {s.shape}")
-    if not np.all(np.abs(s) == 1.0):
-        raise PreconditionError("every sign must be exactly +1 or -1")
-    return s
-
-
-def _check_permutation(pi, n: int) -> np.ndarray:
-    p = np.asarray(pi, dtype=np.int64)
-    if p.shape != (n,) or sorted(p.tolist()) != list(range(n)):
+def _check_permutation(pi, n: int) -> list[int]:
+    if np.shape(pi) != (n,):
+        raise PreconditionError(f"pi must be a permutation of 0..{n - 1}")
+    p = [check_int(v, "every entry of pi", 0) for v in pi]
+    if sorted(p) != list(range(n)):
         raise PreconditionError(f"pi must be a permutation of 0..{n - 1}")
     return p
 
@@ -201,15 +190,14 @@ def _check_permutation(pi, n: int) -> np.ndarray:
 def perm_reflection(n: int, pi, signs) -> ConstructionCertificate:
     """Signed permutation matrix: coordinate ``i`` goes to slot ``pi[i]`` with
     sign ``signs[i]``.  Maps the hypercube onto itself, so the score is 1."""
-    if n < 1:
-        raise PreconditionError(f"n must be positive, got {n}")
+    n = check_int(n, "n", 1)
     p = _check_permutation(pi, n)
-    s = _check_signs(signs, n)
+    s = as_signs(signs, "signs", n)
     m = np.zeros((n, n))
     m[p, np.arange(n)] = s
     return ConstructionCertificate(
         m, "perm_reflection", n, 1.0, True,
-        {"pi": p.tolist(), "signs": s.tolist()},
+        {"pi": p, "signs": s.tolist()},
     )
 
 
@@ -221,26 +209,20 @@ def selector_matrix(n: int, targets) -> ConstructionCertificate:
     sign vector is a hit and the score is 1.  Orthogonal exactly when the
     columns form a permutation.
     """
-    if n < 1:
-        raise PreconditionError(f"n must be positive, got {n}")
+    n = check_int(n, "n", 1)
     tgt = list(targets)
     if len(tgt) != n:
         raise PreconditionError(f"targets must assign all {n} rows, got {len(tgt)}")
-    m = np.zeros((n, n))
-    cols = []
-    sgns = []
-    for i, (c, s) in enumerate(tgt):
-        c = int(c)
-        if not 0 <= c < n:
+    cols = [check_int(c, f"the column of row {i}", 0) for i, (c, _) in enumerate(tgt)]
+    for i, c in enumerate(cols):
+        if c >= n:
             raise PreconditionError(f"row {i} selects column {c}, out of range for n={n}")
-        if s not in (1, -1, 1.0, -1.0):
-            raise PreconditionError(f"row {i} has sign {s!r}, must be +1 or -1")
-        m[i, c] = float(s)
-        cols.append(c)
-        sgns.append(int(s))
+    signs = as_signs([s for _, s in tgt], "signs", n)
+    m = np.zeros((n, n))
+    m[np.arange(n), cols] = signs
     return ConstructionCertificate(
         m, "selector", n, 1.0, is_orthogonal(m),
-        {"columns": cols, "signs": sgns},
+        {"columns": cols, "signs": [int(s) for s in signs]},
     )
 
 
@@ -260,8 +242,7 @@ def rank_one_orthogonal(n: int, t) -> ConstructionCertificate:
     ``n = 24`` and reported as 0 beyond (still a valid lower bound).
     The all-ones ``t`` gives the reflection ``I - (2/n) J``.
     """
-    if n < 1:
-        raise PreconditionError(f"n must be positive, got {n}")
+    n = check_int(n, "n", 1)
     tv = np.asarray(t, dtype=float)
     if tv.shape != (n,):
         raise PreconditionError(f"t must have length {n}, got shape {tv.shape}")
@@ -293,6 +274,7 @@ def rank_r_orthogonal(n: int, d, a=None, diag_signs=None) -> ConstructionCertifi
     The correction block has rank ``r`` and ``M`` is exactly orthogonal in
     exact arithmetic; a numerical orthogonality check guards the result.
     """
+    n = check_int(n, "n", 1)
     dd = as_matrix(d, name="d")
     r = dd.shape[1]
     if not 1 <= r < n:
@@ -301,18 +283,8 @@ def rank_r_orthogonal(n: int, d, a=None, diag_signs=None) -> ConstructionCertifi
         raise PreconditionError(f"d must have shape ({n - r}, {r}) for n={n}, got {dd.shape}")
     if numeric_rank(dd) < r:
         raise PreconditionError("d must have full column rank")
-    if a is None:
-        aa = np.zeros((r, r))
-    else:
-        aa = as_matrix(a, square=True, name="a")
-        if aa.shape[0] != r:
-            raise PreconditionError(f"a must be {r} x {r}, got {aa.shape}")
-        if np.max(np.abs(aa + aa.T)) > 1e-9:
-            raise PreconditionError("a must be antisymmetric")
-    if diag_signs is None:
-        sv = np.ones(n)
-    else:
-        sv = _check_signs(diag_signs, n)
+    aa = antisymmetric_block(a, r, "a")
+    sv = np.ones(n) if diag_signs is None else as_signs(diag_signs, "diag_signs", n)
 
     u = -2.0 * np.linalg.inv(np.eye(r) + dd.T @ dd - aa)
     core = np.empty((n, n))
@@ -336,13 +308,10 @@ def rank_r_orthogonal(n: int, d, a=None, diag_signs=None) -> ConstructionCertifi
 
 
 def _check_selector_style(f0: np.ndarray) -> None:
-    n = f0.shape[0]
-    for i in range(n):
-        nz = np.nonzero(f0[i])[0]
-        if nz.size != 1 or abs(f0[i, nz[0]]) != 1.0:
-            raise PreconditionError(
-                f"row {i} of the base matrix must have exactly one entry equal to +1 or -1"
-            )
+    for i, row in enumerate(f0):
+        if np.count_nonzero(row) != 1:
+            raise PreconditionError(f"row {i} of the base matrix must have exactly one nonzero entry")
+    as_signs(f0[f0 != 0], "the nonzero part of f0")
 
 
 def gap_perturbed_selector(
@@ -371,12 +340,10 @@ def gap_perturbed_selector(
         raise PreconditionError(
             f"GAP ambient dimension {gap.ambient_dim} must match the matrix size {n}"
         )
-    if gap.size() > GAP_SIZE_CAP:
-        raise CapacityError(f"GAP size {gap.size()} exceeds the {GAP_SIZE_CAP} cap")
     group_tol = check_fraction(group_tol, "group_tol")
     if not gap.is_proper(group_tol):
         raise PreconditionError("GAP is improper: distinct coefficients collide")
-    seed = _kernel.check_seed(seed)
+    seed = check_int(seed, "seed", 0)
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     coeffs = gap.sample_coefficients(rng, n - 1)

@@ -86,6 +86,39 @@ def check_fraction(value: float, name: str = "tolerance") -> float:
     return float(value)
 
 
+def _is_int(value) -> bool:
+    # a bool is an int to Python, but neither a count nor an index here
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_int(value, name: str, minimum: int | None) -> int:
+    """``value`` as an ``int``: a Python or numpy integer, not a bool, and at
+    least ``minimum`` (0 or 1) unless that is ``None``."""
+    if not _is_int(value) or (minimum is not None and value < minimum):
+        kind = {None: "an", 0: "a nonnegative", 1: "a positive"}[minimum]
+        raise PreconditionError(f"{name} must be {kind} integer, got {value!r}")
+    return int(value)
+
+
+def as_signs(values, name: str, n: int | None = None) -> np.ndarray:
+    """``values`` as a float64 vector whose entries are each exactly +1 or -1.
+
+    An entry must be a number equal to +-1; a bool is not a sign.  With
+    ``n`` the vector must have length ``n`` (:class:`PreconditionError`),
+    otherwise it must be nonempty and 1-D (:class:`ShapeError`).
+    """
+    arr = np.asarray(values, dtype=object)  # keeps each entry's own type
+    if n is not None:
+        if arr.shape != (n,):
+            raise PreconditionError(f"{name} must have length {n}, got shape {arr.shape}")
+    elif arr.ndim != 1 or arr.size == 0:
+        raise ShapeError(f"{name} must be a nonempty 1-D sequence, got shape {arr.shape}")
+    for v in arr:
+        if not ((_is_int(v) or isinstance(v, (float, np.floating))) and abs(v) == 1):
+            raise PreconditionError(f"every entry of {name} must be exactly +1 or -1, got {v!r}")
+    return arr.astype(np.float64)
+
+
 DEFAULT_TOLERANCES = ToleranceConfig()
 
 
@@ -102,11 +135,8 @@ class SignVector:
     bits: int = 0
 
     def __post_init__(self):
-        for name in ("n", "bits"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise PreconditionError(f"{name} must be an integer, got {v!r}")
-            object.__setattr__(self, name, int(v))
+        object.__setattr__(self, "n", check_int(self.n, "n", None))
+        object.__setattr__(self, "bits", check_int(self.bits, "bits", None))
         if not 1 <= self.n <= ENUMERATION_CAP:
             raise CapacityError(
                 f"sign vector length must lie in [1, {ENUMERATION_CAP}], got {self.n}"
@@ -116,36 +146,18 @@ class SignVector:
 
     @classmethod
     def from_components(cls, components: Sequence[float]) -> "SignVector":
-        comps = np.asarray(components, dtype=float)
-        if comps.ndim != 1 or comps.size == 0:
-            raise ShapeError("components must form a nonempty 1-D sequence")
-        if not np.all(np.abs(comps) == 1.0):
-            raise PreconditionError("every component must be exactly +1 or -1")
+        comps = as_signs(components, "components")
         bits = 0
         for i, c in enumerate(comps):
             if c < 0:
                 bits |= 1 << i
         return cls(int(comps.size), bits)
 
-    @classmethod
-    def all_ones(cls, n: int) -> "SignVector":
-        return cls(n, 0)
-
     def components(self) -> np.ndarray:
         """Dense float64 vector of +-1 components."""
         idx = np.arange(self.n)
         negs = (self.bits >> idx) & 1
         return 1.0 - 2.0 * negs.astype(np.float64)
-
-    def component(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise IndexError(f"component index {i} out of range for n={self.n}")
-        return -1 if (self.bits >> i) & 1 else 1
-
-    def flip(self, i: int) -> "SignVector":
-        if not 0 <= i < self.n:
-            raise IndexError(f"flip index {i} out of range for n={self.n}")
-        return SignVector(self.n, self.bits ^ (1 << i))
 
     def __len__(self) -> int:
         return self.n
@@ -177,6 +189,27 @@ def is_column_stochastic(m, tol: float = 1e-9) -> bool:
     if np.min(arr) < -tol:
         return False
     return bool(np.max(np.abs(arr.sum(axis=0) - 1.0)) <= tol)
+
+
+def check_column_stochastic(m: np.ndarray, tol: float) -> np.ndarray:
+    """``m``, which must be column-stochastic within ``tol`` (:func:`is_column_stochastic`)."""
+    if not is_column_stochastic(m, tol):
+        raise PreconditionError(
+            "matrix must be column-stochastic (nonnegative entries, columns summing to 1)"
+        )
+    return m
+
+
+def antisymmetric_block(b, r: int, name: str) -> np.ndarray:
+    """``b`` as an antisymmetric ``r x r`` matrix; ``None`` means zero."""
+    if b is None:
+        return np.zeros((r, r))
+    arr = as_matrix(b, square=True, name=name)
+    if arr.shape[0] != r:
+        raise PreconditionError(f"{name} must be {r} x {r}, got {arr.shape}")
+    if np.max(np.abs(arr + arr.T)) > 1e-9:
+        raise PreconditionError(f"{name} must be antisymmetric")
+    return arr
 
 
 def numeric_rank(m, rank_tol: float = DEFAULT_TOLERANCES.rank_tol) -> int:
@@ -261,15 +294,7 @@ def sign_matrix_from_rows(vectors: Iterable) -> np.ndarray:
     """Stack sign vectors (SignVector or +-1 sequences) into a k x n float array."""
     rows = []
     for v in vectors:
-        if isinstance(v, SignVector):
-            rows.append(v.components())
-        else:
-            arr = np.asarray(v, dtype=float)
-            if arr.ndim != 1 or arr.size == 0:
-                raise ShapeError("each vector must be a nonempty 1-D sequence")
-            if not np.all(np.abs(arr) == 1.0):
-                raise PreconditionError("every component must be exactly +1 or -1")
-            rows.append(arr)
+        rows.append(v.components() if isinstance(v, SignVector) else as_signs(v, "a sign vector"))
     if not rows:
         raise ShapeError("at least one vector is required")
     n = rows[0].size

@@ -18,13 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernel
-from .core import (
-    CapacityError,
-    ENUMERATION_CAP,
-    PreconditionError,
-    as_matrix,
-    is_column_stochastic,
-)
+from .core import CapacityError, as_matrix, check_column_stochastic, check_int
 
 #: Cap on the exact expectation-identity walk.  Its half-cube walk costs less
 #: than Ryser's full walk at equal n, so this cap, below ``ENUMERATION_CAP``,
@@ -57,14 +51,11 @@ def ryser_value(m) -> float:
     Column subsets are walked by the shared Gray-code kernel in its 0/1
     membership form, the low twelve columns batched into one vectorized
     block; block partial sums are reduced with exact float summation.
-    Capped at ``n <= 30``; runtime grows as ``2**n``, so the top of that
-    range takes tens of seconds.
+    Capped at ``n <= 30``, where the walk raises :class:`CapacityError`;
+    runtime grows as ``2**n``, so the top of that range takes tens of seconds.
     """
     arr = as_matrix(m, square=True)
-    n = arr.shape[0]
-    if n > ENUMERATION_CAP:
-        raise CapacityError(f"Ryser enumeration is capped at n={ENUMERATION_CAP}, got {n}")
-    return _kernel.parity_product_sum(arr, members=True) * (1.0 if n % 2 == 0 else -1.0)
+    return _kernel.parity_product_sum(arr, members=True) * (1.0 if arr.shape[0] % 2 == 0 else -1.0)
 
 
 def ryser_permanent(m) -> PermanentReport:
@@ -164,13 +155,9 @@ def balls_in_bins_estimate(
     bin from its column's alias table with one uniform, whose integer part
     picks the slot and whose fraction is the slot's coin.
     """
-    arr = as_matrix(a, square=True)
-    if not is_column_stochastic(arr, stochastic_tol):
-        raise PreconditionError(
-            "matrix must be column-stochastic (nonnegative entries, columns summing to 1)"
-        )
-    samples = _kernel.check_samples(samples)
-    seed = _kernel.check_seed(seed)
+    arr = check_column_stochastic(as_matrix(a, square=True), stochastic_tol)
+    samples = check_int(samples, "samples", 1)
+    seed = check_int(seed, "seed", 0)
     n = arr.shape[0]
     prob, alias = _alias_tables(arr)
     # Each sample marks its balls' bins in a bitmask of ceil(n/64) words.

@@ -20,6 +20,7 @@ from .core import (
     PreconditionError,
     SignVector,
     as_matrix,
+    as_signs,
     check_fraction,
 )
 
@@ -130,16 +131,7 @@ def threshold_score(
 def product_statistic(m, x) -> float:
     """The single-vector statistic ``prod_i |(Mx)_i|``."""
     arr = as_matrix(m, square=True)
-    if isinstance(x, SignVector):
-        vec = x.components()
-    else:
-        vec = np.asarray(x, dtype=float)
-        if vec.ndim != 1:
-            raise PreconditionError("x must be a 1-D sign vector")
-        if not np.all(np.abs(vec) == 1.0):
-            raise PreconditionError("every component of x must be exactly +1 or -1")
-    if vec.size != arr.shape[1]:
-        raise PreconditionError(f"x has length {vec.size}, expected {arr.shape[1]}")
+    vec = as_signs(x.components() if isinstance(x, SignVector) else x, "x", arr.shape[1])
     return float(np.prod(np.abs(arr @ vec)))
 
 

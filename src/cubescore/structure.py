@@ -21,9 +21,12 @@ from .core import (
     CapacityError,
     DEFAULT_TOLERANCES,
     PreconditionError,
+    antisymmetric_block,
     as_matrix,
+    as_signs,
+    check_column_stochastic,
     check_fraction,
-    is_column_stochastic,
+    check_int,
     is_orthogonal,
     numeric_rank,
     sign_matrix_from_rows,
@@ -51,19 +54,17 @@ class SparseSignMatrix:
     entries: tuple
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise PreconditionError("rows and cols must be positive")
+        check_int(self.rows, "rows", 1)
+        check_int(self.cols, "cols", 1)
         ent = tuple(self.entries)
         if len(ent) != self.rows:
             raise PreconditionError(f"need one entry slot per row, got {len(ent)} for {self.rows} rows")
-        for i, e in enumerate(ent):
-            if e is None:
-                continue
-            c, s = e
-            if not 0 <= int(c) < self.cols:
+        filled = [(i, e) for i, e in enumerate(ent) if e is not None]
+        for i, (c, _) in filled:
+            if check_int(c, f"the column of row {i}", 0) >= self.cols:
                 raise PreconditionError(f"row {i} points at column {c}, out of range")
-            if s not in (1, -1):
-                raise PreconditionError(f"row {i} has sign {s!r}, must be +1 or -1")
+        if filled:
+            as_signs([s for _, (_, s) in filled], "the entry signs")
         object.__setattr__(self, "entries", ent)
 
     def to_dense(self) -> np.ndarray:
@@ -106,8 +107,6 @@ class DecompositionReport:
     f: SparseSignMatrix
     residual: np.ndarray
     residual_rank: int
-    kept_rows: tuple
-    kept_cols: tuple
     gap_fit: dict | None = None
 
 
@@ -293,14 +292,7 @@ def decompose(
             "max_fit_residual": max(fit_residuals),
         }
 
-    return DecompositionReport(
-        f,
-        residual,
-        rank,
-        tuple(range(n)),
-        tuple(range(n)),
-        gap_fit,
-    )
+    return DecompositionReport(f, residual, rank, gap_fit)
 
 
 def classify_row(row) -> RowClass:
@@ -361,11 +353,7 @@ def stochastic_certificate(
     collision bound.  For ``n <= 20`` (and ``attach_permanent=True``) the
     exact Ryser permanent is attached for comparison.
     """
-    arr = as_matrix(a, square=True)
-    if not is_column_stochastic(arr, stochastic_tol):
-        raise PreconditionError(
-            "matrix must be column-stochastic (nonnegative entries, columns summing to 1)"
-        )
+    arr = check_column_stochastic(as_matrix(a, square=True), stochastic_tol)
     n = arr.shape[0]
     classes = tuple(classify_row(arr[i]) for i in range(n))
     little = sum(1 for c in classes if c.kind == "little")
@@ -466,14 +454,7 @@ def trace_bound_check(
     if not np.all(np.isfinite(e)) or np.min(e) <= 0.0:
         raise PreconditionError("e_diag entries must be positive and finite")
     r = e.size
-    if b is None:
-        bb = np.zeros((r, r))
-    else:
-        bb = as_matrix(b, square=True, name="b")
-        if bb.shape[0] != r:
-            raise PreconditionError(f"b must be {r} x {r}, got {bb.shape}")
-        if np.max(np.abs(bb + bb.T)) > 1e-9:
-            raise PreconditionError("b must be antisymmetric")
+    bb = antisymmetric_block(b, r, "b")
     trace = float(np.trace(np.linalg.inv(np.eye(r) + np.diag(e) - bb)))
     within = -psd_tol <= trace <= r + psd_tol
     return TraceBoundReport(r, trace, 0.0, float(r), within)

@@ -345,7 +345,7 @@ CERTIFICATE = ["family", "n", "claimed_score_lower_bound", "orthogonal", "parame
 GAP = ["generators", "lower", "upper", "symmetric"]
 DOMINANCE = ["n", "epsilon", "threshold", "row_max", "row_argmax", "dominated",
              "dominated_count", "column_injective"]
-DECOMPOSITION = ["f", "residual", "residual_rank", "kept_rows", "kept_cols", "gap_fit"]
+DECOMPOSITION = ["f", "residual", "residual_rank", "gap_fit"]
 
 # label -> (argv with {file} placeholders, {dotted path: keys in order})
 KEY_ORDER_CASES = {

@@ -191,8 +191,6 @@ def test_gap_descriptor_basics():
     assert gap.rank == 2
     assert gap.ambient_dim == 2
     assert gap.size() == 15
-    elements = list(gap.enumerate_elements())
-    assert len(elements) == 15
     assert gap.is_proper()
     rebuilt = GapDescriptor.from_dict(_json.to_jsonable(gap))
     assert rebuilt.size() == 15
@@ -246,14 +244,12 @@ def test_gap_membership_every_element(rng):
     gens = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 3.0, -1.0, 2.0]])
     gap = GapDescriptor(gens, (-3, -2), (3, 2))
     assert gap.is_proper()
-    for coeffs, vec in gap.enumerate_elements():
-        assert gap_membership(vec, gap) == coeffs
+    for coeffs in itertools.product(range(-3, 4), range(-2, 3)):
+        assert gap_membership(np.asarray(coeffs, dtype=float) @ gens, gap) == coeffs
 
 
-def test_gap_elements_keep_their_order_and_properness(rng):
-    # the test GAPs above, against a per-element recount in itertools order;
-    # one product for all elements may differ from one per element in the
-    # last bit, on the Gaussian generators
+def test_gap_properness_and_membership_match_a_recount(rng):
+    # the test GAPs above, against a per-element recount over itertools
     gaps = [
         (GapDescriptor(np.eye(2), (-1, -2), (1, 2), symmetric=True), True),
         (GapDescriptor(np.array([[1.0], [2.0]]), (0, 0), (2, 1)), False),
@@ -267,13 +263,10 @@ def test_gap_elements_keep_their_order_and_properness(rng):
     for gap, proper in gaps:
         ranges = [range(l, u + 1) for l, u in zip(gap.lower, gap.upper)]
         expected = [(c, np.asarray(c, dtype=float) @ gap.generators) for c in itertools.product(*ranges)]
-        got = list(gap.enumerate_elements())
-        assert [c for c, _ in got] == [c for c, _ in expected]
-        assert all(type(k) is int for c, _ in got for k in c)
-        np.testing.assert_allclose([v for _, v in got], [v for _, v in expected], rtol=1e-15, atol=1e-15)
-        assert gap.is_proper() == proper
+        distinct = all(np.abs(u - v).max() > 1e-9 for (_, u), (_, v) in itertools.combinations(expected, 2))
+        assert gap.is_proper() == distinct == proper
         if proper and np.linalg.matrix_rank(gap.generators) == gap.rank:
-            assert all(gap_membership(v, gap) == c for c, v in got)
+            assert all(gap_membership(v, gap) == c for c, v in expected)
 
 
 def test_gap_membership_degenerate_generators():
@@ -373,3 +366,43 @@ def test_certificate_dict_key_order(tmp_path, capsys):
         "parameters",
         "matrix_path",
     ]
+
+
+def test_selector_rejects_a_fractional_column():
+    # int(0.7) is 0: a truncated column would certify a matrix nobody asked for
+    with pytest.raises(PreconditionError, match="column of row 0 must be a nonnegative integer"):
+        selector_matrix(3, [(0.7, 1), (1, -1), (2, 1)])
+
+
+def test_perm_reflection_rejects_a_fractional_index():
+    with pytest.raises(PreconditionError, match="every entry of pi must be a nonnegative integer"):
+        perm_reflection(3, [0.9, 1, 2], [1, 1, 1])
+
+
+def test_a_bool_is_not_a_sign():
+    with pytest.raises(PreconditionError, match="exactly \\+1 or -1, got True"):
+        selector_matrix(2, [(0, True), (1, 1)])
+    with pytest.raises(PreconditionError, match="exactly \\+1 or -1, got True"):
+        perm_reflection(2, [1, 0], [True, 1])
+
+
+@pytest.mark.parametrize("n", [2.0, True])
+def test_perm_reflection_rejects_a_non_integer_n(n):
+    with pytest.raises(PreconditionError, match="n must be a positive integer"):
+        perm_reflection(n, [1, 0], [1, 1])
+
+
+def test_integer_arrays_are_exact_indices(rng):
+    pi = rng.permutation(5)
+    cert = perm_reflection(np.int64(5), pi, np.array([1, -1, 1, 1, -1]))
+    assert cert.parameters["pi"] == pi.tolist()
+    assert all(type(v) is int for v in cert.parameters["pi"])
+    cols = np.array([2, 0, 2], dtype=np.int32)
+    cert = selector_matrix(3, list(zip(cols, np.array([1.0, -1.0, 1.0]))))
+    assert cert.parameters == {"columns": [2, 0, 2], "signs": [1, -1, 1]}
+    assert cert.matrix.tolist() == [[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+
+
+def test_gap_bounds_must_be_integers():
+    with pytest.raises(PreconditionError, match="every entry of lower must be an integer"):
+        GapDescriptor(np.eye(1), (0.5,), (1,))

@@ -24,22 +24,7 @@ def test_sign_vector_components_round_trip():
     assert sv.n == 5
     assert sv.bits == 0b10110
     assert sv.components().tolist() == [1.0, -1.0, -1.0, 1.0, -1.0]
-    assert [sv.component(i) for i in range(5)] == [1, -1, -1, 1, -1]
     assert len(sv) == 5
-
-
-def test_sign_vector_all_ones_is_index_zero():
-    sv = SignVector.all_ones(7)
-    assert sv.bits == 0
-    assert np.all(sv.components() == 1.0)
-
-
-def test_sign_vector_flip():
-    sv = SignVector(4, 0)
-    flipped = sv.flip(2)
-    assert flipped.bits == 0b100
-    assert flipped.component(2) == -1
-    assert flipped.flip(2) == sv
 
 
 def test_sign_vector_validation():

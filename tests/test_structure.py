@@ -40,6 +40,17 @@ def test_sparse_sign_matrix_validation():
         SparseSignMatrix(2, 2, ((3, 1), None))
 
 
+def test_sparse_sign_matrix_rejects_a_fractional_column():
+    # accepted before, and to_dense then failed with a bare IndexError
+    with pytest.raises(PreconditionError, match="column of row 0 must be a nonnegative integer"):
+        SparseSignMatrix(2, 2, ((0.5, 1), None))
+
+
+def test_sparse_sign_matrix_rejects_a_bool_sign():
+    with pytest.raises(PreconditionError, match="exactly \\+1 or -1, got True"):
+        SparseSignMatrix(2, 2, ((0, True), None))
+
+
 def test_dominance_identity_rows_all_flagged():
     rep = dominance_analysis(np.eye(8), epsilon=0.5)
     assert rep.threshold == pytest.approx(1.0 - 8.0 ** (-0.5))
