@@ -1,6 +1,13 @@
 import numpy as np
 import pytest
 
+from cubescore.constructors import (
+    GapDescriptor,
+    gap_perturbed_selector,
+    perm_reflection,
+    rank_r_orthogonal,
+    selector_matrix,
+)
 from cubescore.core import (
     CapacityError,
     ENUMERATION_CAP,
@@ -17,6 +24,9 @@ from cubescore.core import (
     save_matrix,
     sign_matrix_from_rows,
 )
+from cubescore.permanent import balls_in_bins_estimate, bernoulli_permanent
+from cubescore.score import mc_score, product_statistic
+from cubescore.structure import hamming_check, procrustes_fit, stochastic_certificate, trace_bound_check
 
 
 def test_sign_vector_components_round_trip():
@@ -181,13 +191,6 @@ def test_stochastic_tol_must_be_a_fraction():
 def _rejection_cases():
     # (label, call, error class) for every entry point whose input rule lives
     # in one shared check; each call must fail before any work is done
-    from cubescore.constructors import GapDescriptor, gap_perturbed_selector, perm_reflection
-    from cubescore.constructors import rank_r_orthogonal, selector_matrix
-    from cubescore.permanent import balls_in_bins_estimate, bernoulli_permanent
-    from cubescore.score import mc_score, product_statistic
-    from cubescore.structure import hamming_check, procrustes_fit, stochastic_certificate
-    from cubescore.structure import trace_bound_check
-
     eye, uniform = np.eye(2), np.full((2, 2), 0.5)
     gap = GapDescriptor(np.ones((1, 4)), (-1,), (1,))
     d = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
