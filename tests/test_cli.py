@@ -476,10 +476,12 @@ def test_importing_the_cli_leaves_the_thread_pool_unloaded():
     assert run_python(code) == "False\n"
 
 
-# The CLI's exact outputs: integer and signed-permutation inputs, whose every
-# number is exact, so stdout must match the bytes recorded in tests/data/cli/
-# (one file per label) once wall_time_ms is masked and the temporary
-# directory is written as {tmp}.  A change to these bytes is a change to the
+# The CLI's outputs on fixed inputs: mostly integer and signed-permutation
+# matrices, whose every number is exact, plus seeded Monte Carlo runs and a
+# grid-rounded rho on non-integer vectors, which are deterministic too.  So
+# stdout must match the bytes recorded in tests/data/cli/ (one file per
+# label) once wall_time_ms is masked and the temporary directory is written
+# as {tmp}.  A change to these bytes is a change to the
 # CLI's output and belongs in the changelog along with the new file.
 GOLDEN_DIR = Path(__file__).parent / "data" / "cli"
 GOLDEN_CASES = {
@@ -495,6 +497,13 @@ GOLDEN_CASES = {
     "rho": ["rho", "--vectors-file", "{int_vectors}"],
     "analyze": ["analyze", "--matrix", "{perm4}"],
     "classify-stochastic": ["classify-stochastic", "--matrix", "{perm4}"],
+    "score-mc": ["score-mc", "--matrix", "{halves}", "--samples", "70000", "--seed", "9", "--threads", "2"],
+    "threshold-score-mc": ["threshold-score", "--matrix", "{halves}", "--theta", "0.9", "--mode", "mc",
+                           "--samples", "70000", "--seed", "3"],
+    "construct-gap-perturbed": ["construct", "--family", "gap-perturbed", "--f0-file", "{signed_perm}",
+                                "--gap-file", "{gap}", "--seed", "11", "--out", "{tmp}/gap.txt"],
+    "analyze-rank-one": ["analyze", "--matrix", "{rank_one_residual}"],
+    "rho-grid": ["rho", "--vectors-file", "{real_vectors}", "--group-tol", "0.05"],
 }
 
 
@@ -509,11 +518,21 @@ def golden_files(tmp_path):
         "zero_one": np.array([[1, 1, 1, 0], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1]], dtype=float),
         "int_vectors": np.array([[1, 2, 0, -1, 1, 3], [0, 1, 1, 1, -2, 0]], dtype=float),
         "perm4": perm4,
+        # entries on the 1/8 grid: the reflection I - J/2, and a signed
+        # permutation plus the rank-one residual u v^T / 8
+        "halves": np.eye(4) - 0.5,
+        "rank_one_residual": signed + np.outer([1, -1, 0, 1, 1], [1, 0, -1, 1, -1]) / 8.0,
+        "real_vectors": np.array([[0.1, 0.21, 0.31, 0.09, 0.2, 0.11, 0.4, 0.3],
+                                  [0.2, 0.1, 0.1, 0.21, -0.1, 0.09, 0.2, 0.0]]),
     }
     files = {"tmp": str(tmp_path)}
     for name, m in matrices.items():
         files[name] = str(tmp_path / f"{name}.txt")
         save_matrix(files[name], m)
+    files["gap"] = str(tmp_path / "gap.json")
+    Path(files["gap"]).write_text(json.dumps({
+        "generators": [[1, 0, -1, 0, 2], [0, 1, 1, -1, 0]], "lower": [-1, -2], "upper": [1, 2], "symmetric": True,
+    }))
     return files
 
 
