@@ -24,12 +24,8 @@ def to_jsonable(x):
     """
     if isinstance(x, np.ndarray):
         return [to_jsonable(v) for v in x.tolist()]
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, np.bool_):
-        return bool(x)
+    if isinstance(x, np.generic):
+        return x.item()
     if isinstance(x, dict):
         return {k: to_jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):

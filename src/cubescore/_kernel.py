@@ -9,12 +9,14 @@ forms every block densely.
 
 Operations state a rule and the reducers here apply it: :func:`count_signs`
 counts the vectors whose image satisfies a rule, over the half-cube walk or
-over Monte Carlo samples, and :func:`half_cube_hits` finds them; a rule that
-keeps each coordinate near given centers lets the walk skip the columns
-that cannot pass (:func:`_window_filter`).  :func:`parity_product_sum`
-sums ``parity(x) * prod_i (Mx)_i`` over the walk, the shared core of
-Ryser's and Glynn's permanent formulas; :func:`modal_signed_sum` finds the
-most frequent image.
+over Monte Carlo samples, and :func:`half_cube_hits` finds them.  A
+:class:`Window`, the rule ``max_r ||y_r| - center| <= tol``, lets the walk
+skip the columns that cannot pass (:func:`_window_filter`).
+:func:`parity_product_sum` sums ``parity(x) * prod_i (Mx)_i`` over the
+walk, the shared core of Ryser's and Glynn's permanent formulas;
+:func:`modal_signed_sum` finds the most frequent image, grouping equal grid
+keys by :func:`group_rows`: a stable lexicographic sort of the rows and the
+start of each run of equal rows.
 
 Every Monte Carlo statistic over sign vectors runs through
 :func:`mc_sign_blocks`.  Samples come in blocks of :func:`mc_rows` rows,
@@ -37,6 +39,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import ctypes
+import dataclasses
 import functools
 import itertools
 import math
@@ -69,42 +72,29 @@ MC_BLOCK = 1 << 16
 _MC_DEPTH = 256
 
 
+def bit_columns(masks: np.ndarray, width: int) -> np.ndarray:
+    """The low ``width`` bits of each bitmask as a float64 0/1 column:
+    entry ``[i, k]`` is bit ``i`` of ``masks[k]``."""
+    return ((masks >> np.arange(width)[:, None]) & 1).astype(np.float64)
+
+
 def low_signs(b: int) -> np.ndarray:
     # column k holds the sign pattern of index k (bit set -> -1)
-    return 1.0 - 2.0 * low_members(b)
+    return 1.0 - 2.0 * bit_columns(np.arange(1 << b), b)
 
 
-def low_sign_parity(b: int) -> np.ndarray:
-    # parity[k] = product of the k-th column of low_signs(b)
-    k = np.arange(1 << b)
-    pop = ((k[:, None] >> np.arange(b)[None, :]) & 1).sum(axis=1)
-    return 1.0 - 2.0 * (pop & 1).astype(np.float64)
-
-
-def low_members(b: int) -> np.ndarray:
-    # 0/1 membership columns, for subset-sum walks
-    k = np.arange(1 << b)
-    bits = (k[None, :] >> np.arange(b)[:, None]) & 1
-    return bits.astype(np.float64)
-
-
-def sign_walk(
-    m: np.ndarray,
-    low_bits: int = LOW_BITS,
-    *,
-    half: bool = False,
-    members: bool = False,
-) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, int, int]]]:
+def sign_walk(m: np.ndarray, *, half: bool = False, members: bool = False
+              ) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, int, int]]]:
     """The walk over ``M @ x`` for all x: a fixed low image and per-block offsets.
 
-    Returns ``(low, steps)``.  ``low`` has shape ``(rows, 2**b)``; its column
-    ``c`` is the image of the low coordinates with bitmask ``c`` (bit set
-    means -1).  ``steps`` yields ``(offset, high_gray, high_parity)`` per
-    block: ``offset`` is the image of the high coordinates with bitmask
-    ``high_gray``, so ``low[:, c] + offset`` is ``M @ x`` for the vector
-    with bitmask ``(high_gray << b) | c``, and ``high_parity`` is the
-    product of the high signs.  ``offset`` is one buffer rewritten at each
-    step.
+    Returns ``(low, steps)``.  ``low`` has shape ``(rows, 2**b)``, ``b`` at
+    most :data:`LOW_BITS`; its column ``c`` is the image of the low
+    coordinates with bitmask ``c`` (bit set means -1).  ``steps`` yields
+    ``(offset, high_gray, high_parity)`` per block: ``offset`` is the image
+    of the high coordinates with bitmask ``high_gray``, so
+    ``low[:, c] + offset`` is ``M @ x`` for the vector with bitmask
+    ``(high_gray << b) | c``, and ``high_parity`` is the product of the high
+    signs.  ``offset`` is one buffer rewritten at each step.
 
     ``half=True`` walks only the vectors whose last coordinate is +1, one of
     each pair ``{x, -x}``.  ``members=True`` replaces every sign ``1 - 2*bit``
@@ -117,9 +107,9 @@ def sign_walk(
     if n > ENUMERATION_CAP:
         raise CapacityError(f"exhaustive enumeration is capped at n={ENUMERATION_CAP}, got {n}")
     walked = n - 1 if half else n
-    b = min(walked, low_bits)
+    b = min(walked, LOW_BITS)
     if members:
-        low, clear, flip = m[:, :b] @ low_members(b), 0.0, 1.0
+        low, clear, flip = m[:, :b] @ bit_columns(np.arange(1 << b), b), 0.0, 1.0
     else:
         low, clear, flip = m[:, :b] @ low_signs(b), 1.0, -1.0
     return low, _gray_offsets(np.ascontiguousarray(m[:, b:]), clear, flip, 1 << (walked - b))
@@ -140,13 +130,8 @@ def _gray_offsets(high: np.ndarray, clear: float, flip: float, nblocks: int):
         yield offset, gray, parity
 
 
-def iter_sign_blocks(
-    m: np.ndarray,
-    low_bits: int = LOW_BITS,
-    *,
-    half: bool = False,
-    members: bool = False,
-) -> Iterator[tuple[np.ndarray, int, int]]:
+def iter_sign_blocks(m: np.ndarray, *, half: bool = False, members: bool = False
+                     ) -> Iterator[tuple[np.ndarray, int, int]]:
     """Yield ``(y, high_gray, high_parity)`` blocks covering ``M @ x`` for all x.
 
     The dense consumer of :func:`sign_walk`, with the same arguments: ``y``
@@ -155,7 +140,7 @@ def iter_sign_blocks(
     ``y`` is one scratch buffer rewritten at each step; consumers may
     overwrite it but must finish with a block before advancing.
     """
-    low, steps = sign_walk(m, low_bits, half=half, members=members)
+    low, steps = sign_walk(m, half=half, members=members)
     y = np.empty_like(low)
     # row by row: adding a scalar to a contiguous row is about twice as fast
     # as numpy's broadcast of a (rows, 1) column over the block
@@ -166,36 +151,50 @@ def iter_sign_blocks(
         yield y, gray, parity
 
 
+@dataclasses.dataclass(frozen=True)
+class Window:
+    """The hit rule ``max_r ||y_r| - center| <= tol``, applied in place: a
+    call overwrites the image block ``y`` with its :meth:`distance` and
+    returns the mask of the columns that pass."""
+
+    center: float
+    tol: float
+
+    def distance(self, y: np.ndarray) -> np.ndarray:
+        """``||y| - center|``, in place of ``y``."""
+        np.abs(y, out=y)
+        np.subtract(y, self.center, out=y)
+        return np.abs(y, out=y)
+
+    def __call__(self, y: np.ndarray) -> np.ndarray:
+        return self.distance(y).max(axis=0) <= self.tol
+
+
 def count_signs(m: np.ndarray, hit: Callable, mode: str = "exact", samples: int | None = None,
-                seed: int | None = None, threads: int = 1,
-                window: tuple[tuple[float, ...], float] | None = None) -> tuple[int, int, float]:
+                seed: int | None = None, threads: int = 1) -> tuple[int, int, float]:
     """``(hits, total, stderr)`` for the sign vectors whose image satisfies ``hit``.
 
     ``hit(y)`` maps an image block ``y`` (one column per vector; it may be
     overwritten) to a boolean mask over its columns, by a rule invariant under
-    ``x -> -x``.  Exact mode doubles the :func:`half_cube_hits` count, with
-    ``window`` passed on (``stderr`` 0); mc mode counts ``samples`` seeded
-    draws.
+    ``x -> -x``.  Exact mode doubles the :func:`half_cube_hits` count
+    (``stderr`` 0); mc mode counts ``samples`` seeded draws.
     """
     draws = check_mode(mode, samples, seed)
     if draws is None:
-        return 2 * half_cube_hits(m, hit, window), 1 << m.shape[1], 0.0
+        return 2 * half_cube_hits(m, hit), 1 << m.shape[1], 0.0
     samples, seed = draws
     hits = int(sum(mc_sign_blocks(m, samples, seed, lambda y, _: int(np.count_nonzero(hit(y))), threads)))
     return hits, samples, binomial_estimate(hits, samples)[1]
 
 
-def half_cube_hits(m: np.ndarray, hit: Callable, window: tuple[tuple[float, ...], float] | None = None,
-                   *, indices: bool = False):
+def half_cube_hits(m: np.ndarray, hit: Callable, *, indices: bool = False):
     """Hits of ``hit`` among the vectors whose last coordinate is +1: their
     count, or with ``indices=True`` their ``int64`` bitmasks in no set order.
 
-    ``window = (centers, tol)`` states the shape of the rule: ``hit`` accepts
-    a column exactly when each of its coordinates, as computed, lies within
-    ``tol`` of one of ``centers``.  The walk may then check only the columns
-    that can pass (:func:`_window_filter`); the hits are the same either way.
+    A :class:`Window` rule may check only the columns that can pass
+    (:func:`_window_filter`); the hits are the same either way.
     """
-    found = None if window is None else _window_filter(m, hit, *window, indices)
+    found = _window_filter(m, hit, indices) if isinstance(hit, Window) else None
     if found is None:
         found = []
         for y, gray, _ in iter_sign_blocks(m, half=True):
@@ -204,18 +203,17 @@ def half_cube_hits(m: np.ndarray, hit: Callable, window: tuple[tuple[float, ...]
     return np.concatenate(found).astype(np.int64) if indices else sum(found)
 
 
-def _window_filter(m: np.ndarray, hit: Callable, centers: tuple[float, ...], tol: float,
-                   indices: bool) -> list | None:
+def _window_filter(m: np.ndarray, window: Window, indices: bool) -> list | None:
     """:func:`half_cube_hits` through a sorted-window filter, as a list of
     counts or bitmask arrays to add up, or ``None`` where the dense walk is
     cheaper.
 
     A coordinate ``r`` of a hit is ``low[r, c] + offset[r]`` and lies within
-    ``tol`` of a center.  With row ``r`` of the low image sorted, each
-    block's offset gives the only columns that can pass that row: one
-    window around ``center - offset[r]`` per center, found by
-    ``searchsorted`` and widened by a few ulps of the operands (the
-    Horowitz-Sahni split, *J. ACM* 21:277, 1974).  ``hit`` then decides
+    ``tol`` of ``-center`` or ``+center``.  With row ``r`` of the low image
+    sorted, each block's offset gives the only columns that can pass that
+    row: one window around each of those centers minus ``offset[r]``, found
+    by ``searchsorted`` and widened by a few ulps of the operands (the
+    Horowitz-Sahni split, *J. ACM* 21:277, 1974).  The rule then decides
     those columns alone, on the same float sums that the dense walk forms,
     so the hits are identical.  For a one-row matrix the columns inside the
     window narrowed by those ulps pass for certain: they are counted, and
@@ -227,17 +225,15 @@ def _window_filter(m: np.ndarray, hit: Callable, centers: tuple[float, ...], tol
     cheaper and the answer is ``None``.
     """
     rows, n = m.shape
-    centers = sorted(centers)
+    tol = window.tol
+    centers = sorted({window.center, -window.center})
     row = 0
     if rows > 1:
         # the share of a fixed spread of half-cube vectors near a center
         # ranks the rows (an odd multiplier permutes the bitmasks)
         sample = np.arange(min(_FILTER_SAMPLE, 1 << (n - 1))) * 0x9E3779B1 % (1 << (n - 1))
-        y = m @ (1.0 - 2.0 * ((sample >> np.arange(n)[:, None]) & 1))
-        near = np.zeros(y.shape, dtype=bool)
-        for c in centers:
-            near |= np.abs(y - c) <= tol
-        share = near.mean(axis=1)
+        y = m @ (1.0 - 2.0 * bit_columns(sample, n))
+        share = (window.distance(y) <= tol).mean(axis=1)
         row = int(np.argmin(share))
         if share[row] > _FILTER_SHARE:
             return None
@@ -270,7 +266,7 @@ def _window_filter(m: np.ndarray, hit: Callable, centers: tuple[float, ...], tol
             cols = order[pos]
             y = low[:, cols]
             y += offsets[:, block]
-            mask = hit(y)
+            mask = window(y)
             found.append(gray[block[mask]] * width + cols[mask] if indices else int(np.count_nonzero(mask)))
     return found
 
@@ -286,7 +282,7 @@ def _window_bounds(srow: np.ndarray, offset: np.ndarray, centers: list[float], t
 
     The window is widened, and the certain range narrowed, by eight ulps of
     the largest operand: ``srow + offset``, the subtraction of the center,
-    the bounds' own arithmetic and ``hit``'s rounding each err by at most
+    the bounds' own arithmetic and the window's rounding each err by at most
     half an ulp of it.  Overflow needs no special case: an infinite slack
     makes every column a candidate and none certain, and a nan bound, which
     only a non-finite offset gives, sorts past every column; then every sum
@@ -315,7 +311,7 @@ def parity_product_sum(m: np.ndarray, *, half: bool = False, members: bool = Fal
     """``fsum`` over the walk of :func:`iter_sign_blocks` (same ``half`` and
     ``members``) of ``parity(x) * prod_i (Mx)_i``, where ``parity(x)`` is the
     product of the signs of ``x``, or ``(-1)**|S|`` for a member set ``S``."""
-    plow = low_sign_parity(min(m.shape[1] - half, LOW_BITS))
+    plow = low_signs(min(m.shape[1] - half, LOW_BITS)).prod(axis=0)
     return math.fsum(
         parity * float(plow @ np.prod(y, axis=0))
         for y, _, parity in iter_sign_blocks(m, half=half, members=members)
@@ -332,19 +328,30 @@ def modal_signed_sum(a: np.ndarray, group_tol: float) -> tuple[int, np.ndarray, 
     between groups break to the lexicographically smallest grid key.
 
     Each block contributes its distinct keys, their counts and their first
-    images; one ``np.unique`` over all blocks' keys, in walk order, merges them.
+    images; one :func:`group_rows` over all blocks' keys, in walk order,
+    merges them.
     """
     group_tol = check_fraction(group_tol, "group_tol")
     blocks = []
     for y, _, _ in iter_sign_blocks(a):
         keys = grid_keys(y.T, group_tol)
-        uniq, first, cnt = np.unique(keys, axis=0, return_index=True, return_counts=True)
-        blocks.append((uniq, cnt, y.T[first]))
+        order, starts = group_rows(keys)
+        first = order[starts]
+        blocks.append((keys[first], np.diff(starts, append=order.size), y.T[first]))
     keys, counts, reps = (np.concatenate(part) for part in zip(*blocks))
-    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    totals = np.bincount(inverse.reshape(-1), weights=counts)
-    best = int(np.argmax(totals))  # keys come sorted, so a tie goes to the smallest
-    return int(totals[best]), reps[first[best]], 1 << a.shape[1]
+    order, starts = group_rows(keys)
+    totals = np.add.reduceat(counts[order], starts)
+    best = int(np.argmax(totals))  # groups come sorted, so a tie goes to the smallest key
+    return int(totals[best]), reps[order[starts[best]]], 1 << a.shape[1]
+
+
+def group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, starts)``: ``order`` sorts the rows of the 2-D ``keys``
+    lexicographically, first column most significant and equal rows in their
+    given order, and ``starts`` marks where each run of equal rows begins."""
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    return order, np.flatnonzero(np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)])
 
 
 def grid_keys(values: np.ndarray, group_tol: float) -> np.ndarray:
@@ -364,10 +371,6 @@ def mc_rows(n: int) -> int:
     """Sample rows per Monte Carlo block, keeping each block's arrays around
     32 MB however wide the matrix is."""
     return max(1, min(MC_BLOCK, (1 << 22) // max(n, 1)))
-
-
-def num_blocks(samples: int, block: int) -> int:
-    return (samples + block - 1) // block
 
 
 def block_rng(seed: int, index: int) -> np.random.Generator:
@@ -394,7 +397,7 @@ def map_sample_blocks(fn: Callable[[int, int], object], samples: int, n: int, th
     ``n`` coordinates, in block order; block ``i`` holds ``rows`` samples,
     ``mc_rows(n)`` except in the last block."""
     block = mc_rows(n)
-    return map_blocks(lambda i: fn(i, min(block, samples - i * block)), num_blocks(samples, block), threads)
+    return map_blocks(lambda i: fn(i, min(block, samples - i * block)), -(-samples // block), threads)
 
 
 def mc_sign_blocks(

@@ -114,8 +114,7 @@ class GapDescriptor:
         """
         tol = check_fraction(tol, "tol")
         keys = _kernel.grid_keys(self._elements()[1], tol)
-        keys = keys[np.lexsort(keys.T)]  # equal keys become neighbours
-        return not bool((keys[1:] == keys[:-1]).all(axis=1).any())
+        return _kernel.group_rows(keys)[1].size == len(keys)
 
     def sample_coefficients(self, rng: np.random.Generator, count: int) -> np.ndarray:
         lo = np.asarray(self.lower, dtype=np.int64)
@@ -150,15 +149,23 @@ def gap_membership(v, gap: GapDescriptor, tol: float = DEFAULT_TOLERANCES.member
     g = gap.generators.T  # (ambient_dim, rank)
     if numeric_rank(g) < gap.rank:
         raise DegenerateGeneratorsError("GAP generators are numerically rank-deficient")
-    coeffs, *_ = np.linalg.lstsq(g, vec, rcond=None)
-    rounded = np.round(coeffs).astype(np.int64)
-    if np.max(np.abs(g @ rounded.astype(float) - vec)) > tol:
+    rounded, error = integer_fit(g, vec)
+    if error > tol:
         return None
     lo = np.asarray(gap.lower, dtype=np.int64)
     up = np.asarray(gap.upper, dtype=np.int64)
     if np.any(rounded < lo) or np.any(rounded > up):
         return None
     return tuple(int(k) for k in rounded)
+
+
+def integer_fit(basis: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
+    """The least-squares coefficients of ``target`` in the columns of
+    ``basis``, rounded to ``int64``, and the max-norm error of that integer
+    combination."""
+    real, *_ = np.linalg.lstsq(basis, target, rcond=None)
+    k = np.round(real).astype(np.int64)
+    return k, float(np.max(np.abs(basis @ k.astype(float) - target)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,8 +235,7 @@ def selector_matrix(n: int, targets) -> ConstructionCertificate:
 
 def _zero_sum_probability(t: np.ndarray, tol: float) -> float:
     # fraction of sign vectors orthogonal to t (|t . x| is invariant under x -> -x)
-    hits, total, _ = _kernel.count_signs(t[None, :], lambda y: np.abs(y[0], out=y[0]) <= tol,
-                                         window=((0.0,), tol))
+    hits, total, _ = _kernel.count_signs(t[None, :], _kernel.Window(0.0, tol))
     return hits / total
 
 

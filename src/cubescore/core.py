@@ -223,19 +223,13 @@ def numeric_rank(m, rank_tol: float = DEFAULT_TOLERANCES.rank_tol) -> int:
     arr = as_matrix(m)
     rank_tol = check_fraction(rank_tol, "rank_tol")
     if max(arr.shape) <= SVD_DIM_LIMIT:
-        sv = np.linalg.svd(arr, compute_uv=False)
-        top = sv[0] if sv.size else 0.0
-        if top == 0.0:
-            return 0
-        return int(np.count_nonzero(sv > rank_tol * top))
-    import scipy.linalg
+        scale = np.linalg.svd(arr, compute_uv=False)
+    else:
+        import scipy.linalg
 
-    r = scipy.linalg.qr(arr, mode="r", pivoting=True)[0]
-    diag = np.abs(np.diag(r))
-    top = diag[0] if diag.size else 0.0
-    if top == 0.0:
-        return 0
-    return int(np.count_nonzero(diag > rank_tol * top))
+        scale = np.abs(np.diag(scipy.linalg.qr(arr, mode="r", pivoting=True)[0]))
+    # both scales lead with their largest entry; a zero matrix has rank 0
+    return int(np.count_nonzero(scale > rank_tol * scale[0]))
 
 
 def save_matrix(path, m) -> None:

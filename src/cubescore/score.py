@@ -52,14 +52,6 @@ class ThresholdScoreReport(ScoreReport):
 _NAIVE_CHUNK = 4096
 
 
-def _membership_hits(y: np.ndarray, tol: float) -> np.ndarray:
-    # overwrites the scratch block y with ||y| - 1|
-    np.abs(y, out=y)
-    np.subtract(y, 1.0, out=y)
-    np.abs(y, out=y)
-    return y.max(axis=0) <= tol
-
-
 def exact_score(m, tol: float = DEFAULT_TOLERANCES.membership_tol) -> ScoreReport:
     """Exhaustive hit score over all ``2**n`` sign vectors.
 
@@ -71,7 +63,7 @@ def exact_score(m, tol: float = DEFAULT_TOLERANCES.membership_tol) -> ScoreRepor
     """
     arr = as_matrix(m, square=True)
     tol = check_fraction(tol)
-    hits, total, _ = _kernel.count_signs(arr, lambda y: _membership_hits(y, tol), window=((-1.0, 1.0), tol))
+    hits, total, _ = _kernel.count_signs(arr, _kernel.Window(1.0, tol))
     return ScoreReport(hits, total, hits / total, 0.0, "exact", tol)
 
 
@@ -79,7 +71,7 @@ def exact_hit_indices(m, tol: float = DEFAULT_TOLERANCES.membership_tol) -> np.n
     """Sorted bitmask indices of every hit vector (bit i set means x_i = -1)."""
     arr = as_matrix(m, square=True)
     tol = check_fraction(tol)
-    half = _kernel.half_cube_hits(arr, lambda y: _membership_hits(y, tol), ((-1.0, 1.0), tol), indices=True)
+    half = _kernel.half_cube_hits(arr, _kernel.Window(1.0, tol), indices=True)
     return np.sort(np.concatenate([half, half ^ ((1 << arr.shape[0]) - 1)]))
 
 
@@ -98,8 +90,7 @@ def mc_score(
     """
     arr = as_matrix(m, square=True)
     tol = check_fraction(tol)
-    hits, total, stderr = _kernel.count_signs(
-        arr, lambda y: _membership_hits(y, tol), "mc", samples, seed, threads)
+    hits, total, stderr = _kernel.count_signs(arr, _kernel.Window(1.0, tol), "mc", samples, seed, threads)
     return ScoreReport(hits, total, hits / total, stderr, "monte_carlo", tol)
 
 

@@ -31,7 +31,7 @@ from .core import (
     numeric_rank,
     sign_matrix_from_rows,
 )
-from .constructors import GAP_RANK_CAP, GapDescriptor
+from .constructors import GAP_RANK_CAP, GapDescriptor, integer_fit
 from .permanent import ryser_value
 
 #: Exhaustive concentration search caps.
@@ -216,9 +216,8 @@ def dominance_analysis(m, epsilon: float = 0.5) -> DominanceReport:
     epsilon = check_fraction(epsilon, "epsilon")
     n = arr.shape[0]
     threshold = 1.0 - float(n) ** (epsilon - 1.0)
-    absa = np.abs(arr)
-    argmax = absa.argmax(axis=1)
-    rowmax = absa[np.arange(n), argmax]
+    argmax, peaks = _row_peaks(arr)
+    rowmax = np.abs(peaks)
     dominated = rowmax >= threshold
     dom_cols = argmax[dominated]
     injective = len(set(dom_cols.tolist())) == int(dominated.sum())
@@ -232,6 +231,12 @@ def dominance_analysis(m, epsilon: float = 0.5) -> DominanceReport:
         int(dominated.sum()),
         bool(injective),
     )
+
+
+def _row_peaks(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # each row's largest-|entry| column (ties to the lowest) and that entry
+    cols = np.abs(arr).argmax(axis=1)
+    return cols, arr[np.arange(arr.shape[0]), cols]
 
 
 def decompose(
@@ -251,17 +256,11 @@ def decompose(
     arr = as_matrix(m, square=True)
     snap_tol = check_fraction(snap_tol, "snap_tol")
     n = arr.shape[0]
-    absa = np.abs(arr)
-    argmax = absa.argmax(axis=1)
-    entries = []
-    for i in range(n):
-        j = int(argmax[i])
-        v = arr[i, j]
-        if abs(abs(v) - 1.0) <= snap_tol:
-            entries.append((j, 1 if v > 0 else -1))
-        else:
-            entries.append(None)
-    f = SparseSignMatrix(n, n, tuple(entries))
+    cols, peaks = _row_peaks(arr)
+    snapped = np.abs(np.abs(peaks) - 1.0) <= snap_tol
+    signs = np.where(peaks > 0, 1, -1)
+    f = SparseSignMatrix(n, n, tuple((j, s) if keep else None
+                                     for j, s, keep in zip(cols.tolist(), signs.tolist(), snapped.tolist())))
     residual = arr - f.to_dense()
     rank = numeric_rank(residual, rank_tol)
 
@@ -271,13 +270,7 @@ def decompose(
 
         pivots = scipy.linalg.qr(residual, mode="r", pivoting=True)[1][:rank]
         basis = residual[:, np.sort(pivots)]  # (n, rank)
-        coeff_rows = []
-        fit_residuals = []
-        for c in range(n):
-            real, *_ = np.linalg.lstsq(basis, residual[:, c], rcond=None)
-            k = np.round(real).astype(np.int64)
-            fit_residuals.append(float(np.max(np.abs(basis @ k.astype(float) - residual[:, c]))))
-            coeff_rows.append(k)
+        coeff_rows, fit_residuals = zip(*(integer_fit(basis, col) for col in residual.T))
         coeffs = np.vstack(coeff_rows)  # (n, rank)
         gap = GapDescriptor(
             basis.T,

@@ -109,6 +109,21 @@ def test_grid_keys_must_stay_exact():
     assert count == 2
 
 
+@pytest.mark.parametrize("width", [1, 3])
+def test_grouping_matches_np_unique(width):
+    # random int64 keys with negative entries and many duplicates; the
+    # first row of each group is its first occurrence, groups in key order
+    rng = np.random.default_rng(width)
+    for size in (1, 2, 50, 4096):
+        keys = rng.integers(-3, 3, size=(size, width)) * (1 << 40) + rng.integers(-2, 2, size=(size, width))
+        order, starts = _kernel.group_rows(keys)
+        uniq, first, counts = np.unique(keys, axis=0, return_index=True, return_counts=True)
+        assert order.tolist() == sorted(order.tolist(), key=lambda i: (keys[i].tolist(), i))
+        assert order[starts].tolist() == first.tolist()
+        assert keys[order[starts]].tolist() == uniq.tolist()
+        assert np.diff(starts, append=size).tolist() == counts.tolist()
+
+
 def signed_sums(t):
     # every signed sum t . x in plain integer arithmetic
     k = np.arange(1 << t.size)
@@ -136,10 +151,6 @@ def test_zero_sum_count_matches_a_recount(monkeypatch, share):
     assert _zero_sum_probability(t, tol) == np.count_nonzero(sums <= 0) / (1 << t.size)
 
 
-def membership(tol):
-    return lambda y: np.abs(np.abs(y, out=y) - 1.0) <= tol
-
-
 def test_dense_hits_take_the_dense_walk():
     # a signed permutation hits everywhere and the signed reflection on 18%
     # of the cube: too many candidates for the filter to pay
@@ -148,9 +159,9 @@ def test_dense_hits_take_the_dense_walk():
     signs = rng.choice([-1.0, 1.0], size=n)
     for m in (np.eye(n)[rng.permutation(n)] * signs,
               signs[:, None] * (np.eye(n) - 0.1)[rng.permutation(n)]):
-        assert _kernel._window_filter(m, membership(1e-9), (-1.0, 1.0), 1e-9, False) is None
+        assert _kernel._window_filter(m, _kernel.Window(1.0, 1e-9), False) is None
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))  # next to no hits: filtered
-    assert sum(_kernel._window_filter(q, membership(1e-9), (-1.0, 1.0), 1e-9, False)) == 0
+    assert sum(_kernel._window_filter(q, _kernel.Window(1.0, 1e-9), False)) == 0
 
 
 def test_overflowing_sums_are_checked_not_counted(monkeypatch):
@@ -161,12 +172,11 @@ def test_overflowing_sums_are_checked_not_counted(monkeypatch):
     t = np.ones(15)
     t[[0, 1, 12, 13]] = 1e308
     t[14] = 2.0  # the fixed last coordinate; 6 of the 10 other ones must be -1
-    rule = lambda y: np.abs(y[0]) <= 1e-9
     counts = []
     for share in (1.0, -1.0):
         monkeypatch.setattr(_kernel, "_FILTER_SHARE", share)
         with np.errstate(over="ignore", invalid="ignore"):
-            counts.append(_kernel.half_cube_hits(t[None, :], rule, ((0.0,), 1e-9)))
+            counts.append(_kernel.half_cube_hits(t[None, :], _kernel.Window(0.0, 1e-9)))
     assert counts[0] == counts[1] == 4 * 210
 
 
@@ -175,17 +185,16 @@ def test_columns_on_the_window_edge_count_as_in_the_dense_walk(monkeypatch, rows
     # tol is set to some vector's own distance from the centers, as the walk
     # computes it, so that vector and its rounding neighbours sit on the edge
     rng = np.random.default_rng(9)
-    centers = (0.0,) if rows == 1 else (-1.0, 1.0)
+    center = 0.0 if rows == 1 else 1.0
     for _ in range(10):
         m = rng.normal(size=(rows, 15)) * 0.1 + (rows > 1)
         y, _, _ = next(_kernel.iter_sign_blocks(m, half=True))
-        gap = np.abs(np.abs(y) - (rows > 1)).max(axis=0)
+        gap = np.abs(np.abs(y) - center).max(axis=0)
         for tol in gap[rng.integers(0, gap.size, 3)]:
-            rule = lambda y: np.abs(np.abs(y, out=y) - (rows > 1)).max(axis=0) <= tol
             counts = []
             for share in (1.0, -1.0):
                 monkeypatch.setattr(_kernel, "_FILTER_SHARE", share)
-                counts.append(_kernel.half_cube_hits(m, rule, (centers, tol)))
+                counts.append(_kernel.half_cube_hits(m, _kernel.Window(center, tol)))
             assert counts[0] == counts[1] > 0
 
 
