@@ -31,6 +31,7 @@ from .core import (
     as_signs,
     check_fraction,
     check_int,
+    column_sign_pairs,
     is_orthogonal,
     numeric_rank,
 )
@@ -123,15 +124,22 @@ class GapDescriptor:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GapDescriptor":
-        try:
-            return cls(
-                np.asarray(d["generators"], dtype=float),
-                tuple(d["lower"]),
-                tuple(d["upper"]),
-                bool(d.get("symmetric", False)),
-            )
-        except KeyError as e:
-            raise PreconditionError(f"GAP description is missing field {e.args[0]!r}") from None
+        """A GAP from its JSON form: ``generators`` an array of numbers,
+        ``lower`` and ``upper`` arrays of integers and an optional boolean
+        ``symmetric``."""
+        for key in ("generators", "lower", "upper"):
+            if key not in d:
+                raise PreconditionError(f"GAP description is missing field {key!r}")
+        gens = np.asarray(d["generators"], dtype=object)  # keeps each entry's own type
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in gens.flat):
+            raise PreconditionError(f"GAP generators must be an array of numbers, got {d['generators']!r}")
+        for key in ("lower", "upper"):
+            if not isinstance(d[key], list):
+                raise PreconditionError(f"GAP field {key!r} must be an array of integers, got {d[key]!r}")
+        symmetric = d.get("symmetric", False)
+        if not isinstance(symmetric, bool):
+            raise PreconditionError(f"GAP field 'symmetric' must be true or false, got {symmetric!r}")
+        return cls(gens.astype(float), tuple(d["lower"]), tuple(d["upper"]), symmetric)
 
 
 def gap_membership(v, gap: GapDescriptor, tol: float = DEFAULT_TOLERANCES.membership_tol):
@@ -220,11 +228,7 @@ def selector_matrix(n: int, targets) -> ConstructionCertificate:
     tgt = list(targets)
     if len(tgt) != n:
         raise PreconditionError(f"targets must assign all {n} rows, got {len(tgt)}")
-    cols = [check_int(c, f"the column of row {i}", 0) for i, (c, _) in enumerate(tgt)]
-    for i, c in enumerate(cols):
-        if c >= n:
-            raise PreconditionError(f"row {i} selects column {c}, out of range for n={n}")
-    signs = as_signs([s for _, s in tgt], "signs", n)
+    cols, signs = column_sign_pairs(dict(enumerate(tgt)), n)
     m = np.zeros((n, n))
     m[np.arange(n), cols] = signs
     return ConstructionCertificate(

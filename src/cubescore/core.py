@@ -119,6 +119,21 @@ def as_signs(values, name: str, n: int | None = None) -> np.ndarray:
     return arr.astype(np.float64)
 
 
+def column_sign_pairs(pairs: dict, cols: int) -> tuple[list[int], np.ndarray]:
+    """The columns and the signs of ``{row: (column, sign)}``.  Each pair
+    holds exactly two entries: a column in ``[0, cols)`` and a sign."""
+    columns = []
+    for i, pair in pairs.items():
+        try:
+            c, _ = pair
+        except (TypeError, ValueError):
+            raise PreconditionError(f"row {i} must hold a (column, sign) pair, got {pair!r}") from None
+        columns.append(check_int(c, f"the column of row {i}", 0))
+        if columns[-1] >= cols:
+            raise PreconditionError(f"row {i} selects column {c}, out of range for {cols} columns")
+    return columns, as_signs([s for _, s in pairs.values()], "signs", len(pairs))
+
+
 DEFAULT_TOLERANCES = ToleranceConfig()
 
 

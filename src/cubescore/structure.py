@@ -23,10 +23,10 @@ from .core import (
     PreconditionError,
     antisymmetric_block,
     as_matrix,
-    as_signs,
     check_column_stochastic,
     check_fraction,
     check_int,
+    column_sign_pairs,
     is_orthogonal,
     numeric_rank,
     sign_matrix_from_rows,
@@ -59,12 +59,7 @@ class SparseSignMatrix:
         ent = tuple(self.entries)
         if len(ent) != self.rows:
             raise PreconditionError(f"need one entry slot per row, got {len(ent)} for {self.rows} rows")
-        filled = [(i, e) for i, e in enumerate(ent) if e is not None]
-        for i, (c, _) in filled:
-            if check_int(c, f"the column of row {i}", 0) >= self.cols:
-                raise PreconditionError(f"row {i} points at column {c}, out of range")
-        if filled:
-            as_signs([s for _, (_, s) in filled], "the entry signs")
+        column_sign_pairs({i: e for i, e in enumerate(ent) if e is not None}, self.cols)
         object.__setattr__(self, "entries", ent)
 
     def to_dense(self) -> np.ndarray:

@@ -283,6 +283,23 @@ def test_construct_missing_flag_exits_two(capsys, tmp_path):
     assert json.loads(err)["error"]["type"] == "PreconditionError"
 
 
+@pytest.mark.parametrize("field, bad", [("lower", -1), ("upper", "1"), ("generators", "x"),
+                                        ("generators", [[1, "2", 0, 0]]), ("generators", [[1, True, 0, 0]]),
+                                        ("symmetric", "no"), ("symmetric", 1)])
+def test_a_mistyped_gap_file_exits_two(capsys, tmp_path, field, bad):
+    # a bare TypeError or ValueError exited 1, and "no" was read as True
+    f0 = tmp_path / "f0.txt"
+    save_matrix(f0, np.eye(4))
+    gap = {"generators": [[1, 0, 0, 0]], "lower": [-1], "upper": [1], "symmetric": False, field: bad}
+    gap_file = tmp_path / "gap.json"
+    gap_file.write_text(json.dumps(gap))
+    code, out, err = run_cli(capsys, "construct", "--family", "gap-perturbed", "--f0-file", str(f0),
+                             "--gap-file", str(gap_file), "--seed", "1", "--out", str(tmp_path / "m.txt"))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"]["type"] == "PreconditionError"
+
+
 def test_bad_choice_is_usage_error(capsys, reflected4):
     with pytest.raises(SystemExit) as exc:
         main(["perm", "--matrix", reflected4, "--method", "bogus"])

@@ -26,7 +26,13 @@ from cubescore.core import (
 )
 from cubescore.permanent import balls_in_bins_estimate, bernoulli_permanent
 from cubescore.score import mc_score, product_statistic
-from cubescore.structure import hamming_check, procrustes_fit, stochastic_certificate, trace_bound_check
+from cubescore.structure import (
+    SparseSignMatrix,
+    hamming_check,
+    procrustes_fit,
+    stochastic_certificate,
+    trace_bound_check,
+)
 
 
 def test_sign_vector_components_round_trip():
@@ -248,6 +254,17 @@ def _rejection_cases():
                                 ("2x3", np.zeros((2, 3)), ShapeError),
                                 ("1-d", np.zeros(2), ShapeError)]:
             cases.append((f"{name}-{label}", lambda call=call, blk=blk: call(blk), err))
+    pairs = {
+        "selector_matrix": lambda pair: selector_matrix(2, [pair, (1, 1)]),
+        "sparse_sign_matrix": lambda pair: SparseSignMatrix(2, 2, (pair, None)),
+    }
+    for name, call in pairs.items():
+        for label, bad in [("int", 1), ("1-tuple", (0,)), ("3-tuple", (0, 1, 1))]:
+            cases.append((f"{name}-pair-{label}", lambda call=call, bad=bad: call(bad), PreconditionError))
+    cases += [
+        ("selector_matrix-pair-none", lambda: selector_matrix(2, [None, (1, 1)]), PreconditionError),
+        ("selector_matrix-bare-columns", lambda: selector_matrix(2, [0, 1]), PreconditionError),
+    ]
     return cases
 
 
