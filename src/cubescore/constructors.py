@@ -31,6 +31,7 @@ from .core import (
     as_signs,
     check_fraction,
     check_int,
+    check_numbers,
     column_sign_pairs,
     is_orthogonal,
     numeric_rank,
@@ -65,10 +66,15 @@ class GapDescriptor:
     symmetric: bool = False
 
     def __post_init__(self):
-        g = as_matrix(self.generators, name="generators")
+        g = as_matrix(check_numbers(self.generators, "generators"), name="generators")
         if g.shape[0] > GAP_RANK_CAP:
             raise CapacityError(f"GAP rank is capped at {GAP_RANK_CAP}, got {g.shape[0]}")
         object.__setattr__(self, "generators", g)
+        for name in ("lower", "upper"):
+            if not isinstance(getattr(self, name), (list, tuple, np.ndarray)):
+                raise PreconditionError(f"{name} must be an array of integers, got {getattr(self, name)!r}")
+        if not isinstance(self.symmetric, (bool, np.bool_)):
+            raise PreconditionError(f"symmetric must be true or false, got {self.symmetric!r}")
         lo = tuple(check_int(v, "every entry of lower", None) for v in self.lower)
         up = tuple(check_int(v, "every entry of upper", None) for v in self.upper)
         if len(lo) != g.shape[0] or len(up) != g.shape[0]:
@@ -82,6 +88,7 @@ class GapDescriptor:
             raise PreconditionError("a symmetric GAP requires lower == -upper")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
+        object.__setattr__(self, "symmetric", bool(self.symmetric))
 
     @property
     def rank(self) -> int:
@@ -124,22 +131,10 @@ class GapDescriptor:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GapDescriptor":
-        """A GAP from its JSON form: ``generators`` an array of numbers,
-        ``lower`` and ``upper`` arrays of integers and an optional boolean
-        ``symmetric``."""
-        for key in ("generators", "lower", "upper"):
-            if key not in d:
-                raise PreconditionError(f"GAP description is missing field {key!r}")
-        gens = np.asarray(d["generators"], dtype=object)  # keeps each entry's own type
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in gens.flat):
-            raise PreconditionError(f"GAP generators must be an array of numbers, got {d['generators']!r}")
-        for key in ("lower", "upper"):
-            if not isinstance(d[key], list):
-                raise PreconditionError(f"GAP field {key!r} must be an array of integers, got {d[key]!r}")
-        symmetric = d.get("symmetric", False)
-        if not isinstance(symmetric, bool):
-            raise PreconditionError(f"GAP field 'symmetric' must be true or false, got {symmetric!r}")
-        return cls(gens.astype(float), tuple(d["lower"]), tuple(d["upper"]), symmetric)
+        try:
+            return cls(d["generators"], d["lower"], d["upper"], d.get("symmetric", False))
+        except KeyError as e:
+            raise PreconditionError(f"GAP description is missing field {e.args[0]!r}") from None
 
 
 def gap_membership(v, gap: GapDescriptor, tol: float = DEFAULT_TOLERANCES.membership_tol):

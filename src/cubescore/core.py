@@ -91,6 +91,20 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, (float, np.floating))
+
+
+def check_numbers(values, name: str) -> np.ndarray:
+    """``values`` as a float64 array, every entry a number: not a bool, a
+    string or a nested sequence of another shape."""
+    arr = np.asarray(values, dtype=object)  # keeps each entry's own type
+    for v in arr.flat:
+        if not _is_number(v):
+            raise PreconditionError(f"every entry of {name} must be a number, got {v!r}")
+    return arr.astype(np.float64)
+
+
 def check_int(value, name: str, minimum: int | None) -> int:
     """``value`` as an ``int``: a Python or numpy integer, not a bool, and at
     least ``minimum`` (0 or 1) unless that is ``None``."""
@@ -114,7 +128,7 @@ def as_signs(values, name: str, n: int | None = None) -> np.ndarray:
     elif arr.ndim != 1 or arr.size == 0:
         raise ShapeError(f"{name} must be a nonempty 1-D sequence, got shape {arr.shape}")
     for v in arr:
-        if not ((_is_int(v) or isinstance(v, (float, np.floating))) and abs(v) == 1):
+        if not (_is_number(v) and abs(v) == 1):
             raise PreconditionError(f"every entry of {name} must be exactly +1 or -1, got {v!r}")
     return arr.astype(np.float64)
 

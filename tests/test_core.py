@@ -264,6 +264,10 @@ def _rejection_cases():
     cases += [
         ("selector_matrix-pair-none", lambda: selector_matrix(2, [None, (1, 1)]), PreconditionError),
         ("selector_matrix-bare-columns", lambda: selector_matrix(2, [0, 1]), PreconditionError),
+        ("gap-lower-scalar", lambda: GapDescriptor(np.ones((1, 4)), -1, (1,)), PreconditionError),
+        ("gap-generators-string", lambda: GapDescriptor("x", (0,), (1,)), PreconditionError),
+        ("gap-generators-ragged", lambda: GapDescriptor([[1, 0], [1]], (0, 0), (1, 1)), PreconditionError),
+        ("gap-symmetric-string", lambda: GapDescriptor(np.ones((1, 4)), (-1,), (1,), "no"), PreconditionError),
     ]
     return cases
 
