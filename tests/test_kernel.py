@@ -2,6 +2,7 @@
 modal signed sum, pinned to values they must keep bit for bit; and the Monte
 Carlo pool's single-threaded BLAS scope."""
 
+import collections
 import hashlib
 import sys
 import threading
@@ -124,20 +125,79 @@ def test_grouping_matches_np_unique(width):
         assert np.diff(starts, append=size).tolist() == counts.tolist()
 
 
+WALKS = [(half, members) for half in (False, True) for members in (False, True)]
+
+
+def gray_offset_oracle(m, half, members):
+    # column k: a plain left-to-right sum of value_j * high[:, j] over the
+    # high coordinates of Gray code k, the fixed last one of a half walk last
+    n = m.shape[1]
+    b = min(n - half, _kernel.LOW_BITS)
+    high = m[:, b:].tolist()
+    clear, flip = (0.0, 1.0) if members else (1.0, -1.0)
+    table = []
+    for k in range(1 << (n - half - b)):
+        gray = k ^ (k >> 1)
+        values = [flip if gray >> j & 1 else clear for j in range(n - b)]
+        column = []
+        for row in high:
+            total = 0.0
+            for value, entry in zip(values, row):
+                total += value * entry
+            column.append(total)
+        table.append(column)
+    return np.array(table).T
+
+
+@pytest.mark.parametrize("half, members", WALKS, ids=["full", "full-members", "half", "half-members"])
+@pytest.mark.parametrize("n", [1, 12, 13, 15, 20])
+def test_offset_table_is_a_left_to_right_sum(half, members, n):
+    # n=1 and 12 have no walked high coordinate, 13 one, 15 three; with the
+    # eight of n=20 one np.dot per column rounds some entries differently
+    m = np.random.default_rng(n).normal(size=(3, n))
+    low, offsets = _kernel.sign_walk(m, half=half, members=members)
+    assert offsets.tobytes() == gray_offset_oracle(m, half, members).tobytes()
+    k = -1
+    for k, (y, gray, parity) in enumerate(_kernel.iter_sign_blocks(m, half=half, members=members)):
+        assert (gray, parity) == (k ^ (k >> 1), (-1) ** k)
+        assert y.tobytes() == (low + offsets[:, k, None]).tobytes()
+    assert k + 1 == offsets.shape[1]
+
+
+def test_offset_table_does_not_follow_the_blas_thread_count(blas_threads):
+    # 32 rows and 2048 blocks: wide enough for OpenBLAS to thread a product
+    m = np.random.default_rng(10).normal(size=(32, 24))
+    for half, members in WALKS:
+        assert blas_threads() == 2
+        low, offsets = _kernel.sign_walk(m, half=half, members=members)
+        with _kernel._single_threaded_blas():
+            assert blas_threads() == 1
+            low1, offsets1 = _kernel.sign_walk(m, half=half, members=members)
+        assert offsets.tobytes() == offsets1.tobytes()
+        assert low.tobytes() == low1.tobytes()
+
+
 def signed_sums(t):
     # every signed sum t . x in plain integer arithmetic
     k = np.arange(1 << t.size)
     return (1 - 2 * ((k[:, None] >> np.arange(t.size)) & 1)) @ t
 
 
+def zero_sum_recount(t):
+    # meet in the middle: a zero sum is a left half-sum cancelled by a right one
+    h = t.size // 2
+    right = collections.Counter(signed_sums(t[h:]).tolist())
+    return sum(right[-s] for s in signed_sums(t[:h]).tolist())
+
+
 @pytest.mark.parametrize("share", [1.0, -1.0], ids=["filter", "dense"])
 def test_zero_sum_count_matches_a_recount(monkeypatch, share):
     monkeypatch.setattr(_kernel, "_FILTER_SHARE", share)
     rng = np.random.default_rng(6)
-    for n in (1, 2, 9, 13, 14, 16):
+    for n in (1, 2, 9, 13, 14, 16, 24):
         t = rng.integers(1, 4, size=n)
         t[0] = 1
-        expected = np.count_nonzero(signed_sums(t) == 0) / (1 << n)
+        expected = zero_sum_recount(t) / (1 << n)
         assert _zero_sum_probability(t.astype(float), 1e-9) == expected
     # entries on the 2**-49 grid with |t|_1 < 16 make every partial sum
     # exact, so the recount is exact too.  1036 sums each lie at exactly
@@ -186,11 +246,13 @@ def test_columns_on_the_window_edge_count_as_in_the_dense_walk(monkeypatch, rows
     # computes it, so that vector and its rounding neighbours sit on the edge
     rng = np.random.default_rng(9)
     center = 0.0 if rows == 1 else 1.0
+    # the tolerances come from the first block and from the last of the
+    # four, whose offset the table builds by doubling
     for _ in range(10):
         m = rng.normal(size=(rows, 15)) * 0.1 + (rows > 1)
-        y, _, _ = next(_kernel.iter_sign_blocks(m, half=True))
-        gap = np.abs(np.abs(y) - center).max(axis=0)
-        for tol in gap[rng.integers(0, gap.size, 3)]:
+        gaps = [np.abs(np.abs(y) - center).max(axis=0) for y, _, _ in _kernel.iter_sign_blocks(m, half=True)]
+        assert len(gaps) == 4
+        for tol in np.r_[gaps[0][rng.integers(0, gaps[0].size, 3)], gaps[-1][rng.integers(0, gaps[-1].size, 3)]]:
             counts = []
             for share in (1.0, -1.0):
                 monkeypatch.setattr(_kernel, "_FILTER_SHARE", share)
