@@ -252,12 +252,13 @@ def test_columns_on_the_window_edge_count_as_in_the_dense_walk(monkeypatch, rows
         m = rng.normal(size=(rows, 15)) * 0.1 + (rows > 1)
         gaps = [np.abs(np.abs(y) - center).max(axis=0) for y, _, _ in _kernel.iter_sign_blocks(m, half=True)]
         assert len(gaps) == 4
-        for tol in np.r_[gaps[0][rng.integers(0, gaps[0].size, 3)], gaps[-1][rng.integers(0, gaps[-1].size, 3)]]:
-            counts = []
-            for share in (1.0, -1.0):
-                monkeypatch.setattr(_kernel, "_FILTER_SHARE", share)
-                counts.append(_kernel.half_cube_hits(m, _kernel.Window(center, tol)))
-            assert counts[0] == counts[1] > 0
+        for gap in (gaps[0], gaps[-1]):
+            for tol in gap[rng.integers(0, gap.size, 3)]:
+                counts = []
+                for share in (1.0, -1.0):
+                    monkeypatch.setattr(_kernel, "_FILTER_SHARE", share)
+                    counts.append(_kernel.half_cube_hits(m, _kernel.Window(center, tol)))
+                assert counts[0] == counts[1] > 0
 
 
 @pytest.fixture
