@@ -5,8 +5,10 @@ Every exhaustive statistic over ``{-1,+1}^n`` walks the hypercube through
 ``2**b`` columns whose image is computed once, and the remaining high
 coordinates follow a reflected Gray code, each block adding the image of its
 high coordinates to that fixed low image.  Those images are one table of
-offsets, one column per block, built by doubling the Gray code one high
-coordinate at a time.  :func:`iter_sign_blocks` forms every block densely.
+offsets, one column per block.  Both tables are built by doubling, one
+coordinate at a time, without a matrix product, so the walk's sums do not
+depend on the BLAS build or its thread count.  :func:`iter_sign_blocks`
+forms every block of a walk densely.
 
 Operations state a rule and the reducers here apply it: :func:`count_signs`
 counts the vectors whose image satisfies a rule, over the half-cube walk or
@@ -73,17 +75,6 @@ MC_BLOCK = 1 << 16
 _MC_DEPTH = 256
 
 
-def bit_columns(masks: np.ndarray, width: int) -> np.ndarray:
-    """The low ``width`` bits of each bitmask as a float64 0/1 column:
-    entry ``[i, k]`` is bit ``i`` of ``masks[k]``."""
-    return ((masks >> np.arange(width)[:, None]) & 1).astype(np.float64)
-
-
-def low_signs(b: int) -> np.ndarray:
-    # column k holds the sign pattern of index k (bit set -> -1)
-    return 1.0 - 2.0 * bit_columns(np.arange(1 << b), b)
-
-
 def sign_walk(m: np.ndarray, *, half: bool = False, members: bool = False
               ) -> tuple[np.ndarray, np.ndarray]:
     """The walk over ``M @ x`` for all x: a fixed low image and a table of
@@ -101,48 +92,53 @@ def sign_walk(m: np.ndarray, *, half: bool = False, members: bool = False
     each pair ``{x, -x}``.  ``members=True`` replaces every sign ``1 - 2*bit``
     by the 0/1 membership ``bit``, so the images are column subset sums.
 
-    The table is built without BLAS by the reflected-Gray doubling.  For each
-    walked high coordinate ``j`` in order, the new second half of the columns
-    is the first half reversed plus ``j``'s column times its set value (-1,
-    or 1 for members), then the first half adds it times its clear value (1,
-    or 0).  A half walk's fixed last coordinate then adds its clear value to
-    every column.  Each entry is thus a left-to-right sum over the high
-    coordinates: exact to one direct product's error bound however long the
-    walk, and the same on any BLAS build or thread count.  The table takes
-    ``8 * rows * nblocks`` bytes, 31 MB for a 30-row half walk at n=30.
+    Both tables come from :func:`_doubling`, the low image in natural
+    bitmask order and the offsets in reflected-Gray order; a half walk's
+    fixed last coordinate then adds its clear value to every offset.  Each
+    entry is thus a left-to-right sum over its coordinates: exact to one
+    direct product's error bound however long the walk, and the same on any
+    BLAS build or thread count.  The offsets take ``8 * rows * nblocks``
+    bytes, 31 MB for a 30-row half walk at n=30.
     """
-    rows, n = m.shape
+    n = m.shape[1]
     if n > ENUMERATION_CAP:
         raise CapacityError(f"exhaustive enumeration is capped at n={ENUMERATION_CAP}, got {n}")
     walked = n - 1 if half else n
     b = min(walked, LOW_BITS)
-    if members:
-        low, clear, flip = m[:, :b] @ bit_columns(np.arange(1 << b), b), 0.0, 1.0
-    else:
-        low, clear, flip = m[:, :b] @ low_signs(b), 1.0, -1.0
-    high = m[:, b:]
-    offsets = np.zeros((rows, 1 << (walked - b)))
-    for j in range(walked - b):
-        size = 1 << j
-        np.add(offsets[:, size - 1::-1], flip * high[:, j, None], out=offsets[:, size:2 * size])
-        offsets[:, :size] += clear * high[:, j, None]
+    clear, flip = (0.0, 1.0) if members else (1.0, -1.0)
+    low = _doubling(m[:, :b], clear, flip, gray=False)
+    offsets = _doubling(m[:, b:walked], clear, flip, gray=True)
     if half:
-        offsets += clear * high[:, -1, None]  # the fixed last coordinate
+        offsets += clear * m[:, -1, None]  # the fixed last coordinate
     return low, offsets
 
 
-def iter_sign_blocks(m: np.ndarray, *, half: bool = False, members: bool = False
-                     ) -> Iterator[tuple[np.ndarray, int, int]]:
-    """Yield ``(y, high_gray, high_parity)`` blocks covering ``M @ x`` for all x.
+def _doubling(cols: np.ndarray, clear: float, flip: float, *, gray: bool) -> np.ndarray:
+    """Per bitmask of ``cols``' coordinates, the sum over ``j`` of ``flip``
+    (bit ``j`` set) or ``clear`` times column ``j``.  For each ``j`` in
+    order, the new upper half is a source half plus ``flip`` times column
+    ``j``, then the lower half adds ``clear`` times it.  The source is the
+    lower half, so column ``k`` is bitmask ``k``, or with ``gray`` the lower
+    half reversed, so column ``k`` is bitmask ``k ^ (k >> 1)``."""
+    table = np.zeros((cols.shape[0], 1 << cols.shape[1]))
+    for j in range(cols.shape[1]):
+        size = 1 << j
+        source = table[:, size - 1::-1] if gray else table[:, :size]
+        np.add(source, flip * cols[:, j, None], out=table[:, size:2 * size])
+        table[:, :size] += clear * cols[:, j, None]
+    return table
 
-    The dense consumer of :func:`sign_walk`, with the same arguments: block
-    ``k`` is ``y = low + offsets[:, k]``, whose column ``c`` is ``M @ x`` for
-    the sign vector with bitmask ``(high_gray << b) | c``, where
-    ``high_gray = k ^ (k >> 1)`` and ``high_parity = (-1)**k``.  ``y`` is
-    one scratch buffer rewritten at each step; consumers may overwrite it
+
+def iter_sign_blocks(low: np.ndarray, offsets: np.ndarray) -> Iterator[tuple[np.ndarray, int, int]]:
+    """Yield ``(y, high_gray, high_parity)`` blocks covering a
+    :func:`sign_walk`.
+
+    Block ``k`` is ``y = low + offsets[:, k]``, whose column ``c`` is
+    ``M @ x`` for the sign vector with bitmask ``(high_gray << b) | c``,
+    where ``high_gray = k ^ (k >> 1)`` and ``high_parity = (-1)**k``.  ``y``
+    is one scratch buffer rewritten at each step; consumers may overwrite it
     but must finish with a block before advancing.
     """
-    low, offsets = sign_walk(m, half=half, members=members)
     y = np.empty_like(low)
     # row by row: adding a scalar to a contiguous row is about twice as fast
     # as numpy's broadcast of a (rows, 1) column over the block
@@ -193,22 +189,24 @@ def half_cube_hits(m: np.ndarray, hit: Callable, *, indices: bool = False):
     """Hits of ``hit`` among the vectors whose last coordinate is +1: their
     count, or with ``indices=True`` their ``int64`` bitmasks in no set order.
 
-    A :class:`Window` rule may check only the columns that can pass
-    (:func:`_window_filter`); the hits are the same either way.
+    The walk is built once; a :class:`Window` rule may check only its
+    columns that can pass (:func:`_window_filter`), and the hits are the same
+    either way.
     """
-    found = _window_filter(m, hit, indices) if isinstance(hit, Window) else None
+    walk = sign_walk(m, half=True)
+    found = _window_filter(*walk, hit, indices) if isinstance(hit, Window) else None
     if found is None:
         found = []
-        for y, gray, _ in iter_sign_blocks(m, half=True):
+        for y, gray, _ in iter_sign_blocks(*walk):
             mask = hit(y)
             found.append(gray * mask.size + np.flatnonzero(mask) if indices else int(np.count_nonzero(mask)))
     return np.concatenate(found).astype(np.int64) if indices else sum(found)
 
 
-def _window_filter(m: np.ndarray, window: Window, indices: bool) -> list | None:
-    """:func:`half_cube_hits` through a sorted-window filter, as a list of
-    counts or bitmask arrays to add up, or ``None`` where the dense walk is
-    cheaper.
+def _window_filter(low: np.ndarray, offsets: np.ndarray, window: Window, indices: bool) -> list | None:
+    """:func:`half_cube_hits` over the half walk ``(low, offsets)`` through
+    a sorted-window filter, as a list of counts or bitmask arrays to add up,
+    or ``None`` where the dense walk is cheaper.
 
     A coordinate ``r`` of a hit is ``low[r, c] + offset[r]`` and lies within
     ``tol`` of ``-center`` or ``+center``.  With row ``r`` of the low image
@@ -222,25 +220,25 @@ def _window_filter(m: np.ndarray, window: Window, indices: bool) -> list | None:
     only the columns at its edges are checked.
 
     The filter row is the one with the fewest images near a center among a
-    fixed sample of vectors.  When that share, or the exact share of columns
-    left to check, exceeds ``_FILTER_SHARE`` of the walk, the dense walk is
-    cheaper and the answer is ``None``.
+    fixed sample of the walk's own columns.  When that share, or the exact
+    share of columns left to check, exceeds ``_FILTER_SHARE`` of the walk,
+    the dense walk is cheaper and the answer is ``None``.
     """
-    rows, n = m.shape
+    rows, width = low.shape
+    nblocks = offsets.shape[1]
     tol = window.tol
     centers = sorted({window.center, -window.center})
     row = 0
     if rows > 1:
-        # the share of a fixed spread of half-cube vectors near a center
-        # ranks the rows (an odd multiplier permutes the bitmasks)
-        sample = np.arange(min(_FILTER_SAMPLE, 1 << (n - 1))) * 0x9E3779B1 % (1 << (n - 1))
-        y = m @ (1.0 - 2.0 * bit_columns(sample, n))
+        # the share of a fixed spread of walk positions near a center ranks
+        # the rows (an odd multiplier permutes the positions)
+        total = width * nblocks
+        pos = np.arange(min(_FILTER_SAMPLE, total)) * 0x9E3779B1 % total
+        y = low[:, pos % width] + offsets[:, pos // width]
         share = (window.distance(y) <= tol).mean(axis=1)
         row = int(np.argmin(share))
         if share[row] > _FILTER_SHARE:
             return None
-    low, offsets = sign_walk(m, half=True)
-    width, nblocks = low.shape[1], offsets.shape[1]
     order = np.argsort(low[row])
     bounds = _window_bounds(low[row, order], offsets[row], centers, tol, rows == 1)
     # each center's window is [i0, i1) [i1, j1) [j1, j0): edge, certain, edge
@@ -306,13 +304,15 @@ def _ranges(begin: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def parity_product_sum(m: np.ndarray, *, half: bool = False, members: bool = False) -> float:
-    """``fsum`` over the walk of :func:`iter_sign_blocks` (same ``half`` and
+    """``fsum`` over the walk of :func:`sign_walk` (same ``half`` and
     ``members``) of ``parity(x) * prod_i (Mx)_i``, where ``parity(x)`` is the
     product of the signs of ``x``, or ``(-1)**|S|`` for a member set ``S``."""
-    plow = low_signs(min(m.shape[1] - half, LOW_BITS)).prod(axis=0)
+    low, offsets = sign_walk(m, half=half, members=members)
+    plow = np.ones(1)  # entry c: (-1)**(bits set in c), by sign doubling
+    while plow.size < low.shape[1]:
+        plow = np.concatenate([plow, -plow])
     return math.fsum(
-        parity * float(plow @ np.prod(y, axis=0))
-        for y, _, parity in iter_sign_blocks(m, half=half, members=members)
+        parity * float(plow @ np.prod(y, axis=0)) for y, _, parity in iter_sign_blocks(low, offsets)
     )
 
 
@@ -331,7 +331,7 @@ def modal_signed_sum(a: np.ndarray, group_tol: float) -> tuple[int, np.ndarray, 
     """
     group_tol = check_fraction(group_tol, "group_tol")
     blocks = []
-    for y, _, _ in iter_sign_blocks(a):
+    for y, _, _ in iter_sign_blocks(*sign_walk(a)):
         keys = grid_keys(y.T, group_tol)
         order, starts = group_rows(keys)
         first = order[starts]

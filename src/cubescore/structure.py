@@ -69,10 +69,6 @@ class SparseSignMatrix:
                 out[i, e[0]] = float(e[1])
         return out
 
-    @property
-    def nonzero_count(self) -> int:
-        return sum(1 for e in self.entries if e is not None)
-
     def to_dict(self) -> dict:
         return {
             "rows": self.rows,

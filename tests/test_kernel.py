@@ -4,6 +4,7 @@ Carlo pool's single-threaded BLAS scope."""
 
 import collections
 import hashlib
+import math
 import sys
 import threading
 
@@ -128,37 +129,46 @@ def test_grouping_matches_np_unique(width):
 WALKS = [(half, members) for half in (False, True) for members in (False, True)]
 
 
-def gray_offset_oracle(m, half, members):
-    # column k: a plain left-to-right sum of value_j * high[:, j] over the
-    # high coordinates of Gray code k, the fixed last one of a half walk last
-    n = m.shape[1]
-    b = min(n - half, _kernel.LOW_BITS)
-    high = m[:, b:].tolist()
+def left_to_right(cols, masks, members):
+    # column k: a plain left-to-right sum of value_j * cols[:, j], value_j
+    # the set or clear value of bit j of masks[k]
     clear, flip = (0.0, 1.0) if members else (1.0, -1.0)
     table = []
-    for k in range(1 << (n - half - b)):
-        gray = k ^ (k >> 1)
-        values = [flip if gray >> j & 1 else clear for j in range(n - b)]
+    for mask in masks:
         column = []
-        for row in high:
+        for row in cols.tolist():
             total = 0.0
-            for value, entry in zip(values, row):
-                total += value * entry
+            for j, entry in enumerate(row):
+                total += (flip if mask >> j & 1 else clear) * entry
             column.append(total)
         table.append(column)
     return np.array(table).T
+
+
+def walk_oracle(m, half, members):
+    # the low image in natural bitmask order, and the offsets over the high
+    # coordinates of Gray code k, the fixed last one of a half walk last
+    n = m.shape[1]
+    b = min(n - half, _kernel.LOW_BITS)
+    gray = [k ^ (k >> 1) for k in range(1 << (n - half - b))]
+    return left_to_right(m[:, :b], range(1 << b), members), left_to_right(m[:, b:], gray, members)
 
 
 @pytest.mark.parametrize("half, members", WALKS, ids=["full", "full-members", "half", "half-members"])
 @pytest.mark.parametrize("n", [1, 12, 13, 15, 20])
 def test_offset_table_is_a_left_to_right_sum(half, members, n):
     # n=1 and 12 have no walked high coordinate, 13 one, 15 three; with the
-    # eight of n=20 one np.dot per column rounds some entries differently
+    # eight of n=20 one np.dot per column rounds some entries differently.
+    # The low image is held to the same rule over its up to 12 coordinates;
+    # for one row, a BLAS product of it sums in another order from n=12
     m = np.random.default_rng(n).normal(size=(3, n))
-    low, offsets = _kernel.sign_walk(m, half=half, members=members)
-    assert offsets.tobytes() == gray_offset_oracle(m, half, members).tobytes()
+    low_oracle, offsets_oracle = walk_oracle(m, half, members)
+    for rows in (1, 3):
+        low, offsets = _kernel.sign_walk(m[:rows], half=half, members=members)
+        assert low.tobytes() == low_oracle[:rows].tobytes()
+        assert offsets.tobytes() == offsets_oracle[:rows].tobytes()
     k = -1
-    for k, (y, gray, parity) in enumerate(_kernel.iter_sign_blocks(m, half=half, members=members)):
+    for k, (y, gray, parity) in enumerate(_kernel.iter_sign_blocks(low, offsets)):
         assert (gray, parity) == (k ^ (k >> 1), (-1) ** k)
         assert y.tobytes() == (low + offsets[:, k, None]).tobytes()
     assert k + 1 == offsets.shape[1]
@@ -216,12 +226,46 @@ def test_dense_hits_take_the_dense_walk():
     # of the cube: too many candidates for the filter to pay
     rng = np.random.default_rng(7)
     n = 20
+    window = _kernel.Window(1.0, 1e-9)
     signs = rng.choice([-1.0, 1.0], size=n)
     for m in (np.eye(n)[rng.permutation(n)] * signs,
               signs[:, None] * (np.eye(n) - 0.1)[rng.permutation(n)]):
-        assert _kernel._window_filter(m, _kernel.Window(1.0, 1e-9), False) is None
+        assert _kernel._window_filter(*_kernel.sign_walk(m, half=True), window, False) is None
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))  # next to no hits: filtered
-    assert sum(_kernel._window_filter(q, _kernel.Window(1.0, 1e-9), False)) == 0
+    assert sum(_kernel._window_filter(*_kernel.sign_walk(q, half=True), window, False)) == 0
+
+
+def test_half_cube_hits_builds_its_walk_once(monkeypatch):
+    # a filtered call, one declined on the sample share (a signed
+    # permutation: every vector hits) and one declined on the column count.
+    # For the last, the sample is cut to the all-ones vector alone, which no
+    # row of (I - 0.1J) diag(s) maps near +-1 (sum(s) = 2, so its image is
+    # s - 0.2), while every vector with s . x = 0 is a hit: 19.6% of them
+    calls = collections.Counter()
+
+    def counted(name):
+        fn = getattr(_kernel, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(_kernel, name, wrapper)
+
+    for name in ("sign_walk", "_window_bounds", "iter_sign_blocks"):
+        counted(name)
+    rng = np.random.default_rng(11)
+    n = 16
+    s = np.repeat([1.0, -1.0], [9, 7])
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    cases = [(q, 1024, [1, 1, 0]), (np.eye(n) * s, 1024, [1, 0, 1]), ((np.eye(n) - 0.1) * s, 1, [1, 1, 1])]
+    hits = []
+    for m, sample, expected in cases:
+        monkeypatch.setattr(_kernel, "_FILTER_SAMPLE", sample)
+        calls.clear()
+        hits.append(_kernel.half_cube_hits(m, _kernel.Window(1.0, 1e-9)))
+        assert [calls[name] for name in ("sign_walk", "_window_bounds", "iter_sign_blocks")] == expected
+    assert hits == [0, 1 << (n - 1), math.comb(n, n // 2) // 2]
 
 
 def test_overflowing_sums_are_checked_not_counted(monkeypatch):
@@ -250,7 +294,8 @@ def test_columns_on_the_window_edge_count_as_in_the_dense_walk(monkeypatch, rows
     # four, whose offset the table builds by doubling
     for _ in range(10):
         m = rng.normal(size=(rows, 15)) * 0.1 + (rows > 1)
-        gaps = [np.abs(np.abs(y) - center).max(axis=0) for y, _, _ in _kernel.iter_sign_blocks(m, half=True)]
+        walk = _kernel.sign_walk(m, half=True)
+        gaps = [np.abs(np.abs(y) - center).max(axis=0) for y, _, _ in _kernel.iter_sign_blocks(*walk)]
         assert len(gaps) == 4
         for gap in (gaps[0], gaps[-1]):
             for tol in gap[rng.integers(0, gap.size, 3)]:

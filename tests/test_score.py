@@ -132,7 +132,7 @@ def test_walk_does_not_drift(rng, walk):
     # walk that updates its block in place by rank-one steps drifts to 9e-11
     n = 24
     m = rng.uniform(-200.0, 200.0, size=(n, n))
-    for y, gray, _ in _kernel.iter_sign_blocks(m, **walk):
+    for y, gray, _ in _kernel.iter_sign_blocks(*_kernel.sign_walk(m, **walk)):
         pass
     b = y.shape[1].bit_length() - 1
     idx = (gray << b) | np.arange(y.shape[1])

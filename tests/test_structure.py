@@ -27,7 +27,7 @@ def test_sparse_sign_matrix_round_trip():
     f = SparseSignMatrix(3, 3, ((0, 1), None, (2, -1)))
     dense = f.to_dense()
     assert dense.tolist() == [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -1.0]]
-    assert f.nonzero_count == 2
+    assert sum(e is not None for e in f.entries) == 2
     assert f.to_dict() == {"rows": 3, "cols": 3, "entries": [[0, 0, 1], [2, 2, -1]]}
 
 
@@ -88,7 +88,7 @@ def test_decompose_signed_permutation_has_no_residual(rng):
     signs = 1.0 - 2.0 * rng.integers(0, 2, size=7)
     m = perm_reflection(7, pi, signs).matrix
     rep = decompose(m)
-    assert rep.f.nonzero_count == 7
+    assert sum(e is not None for e in rep.f.entries) == 7
     assert rep.residual_rank == 0
     assert np.max(np.abs(rep.residual)) == 0.0
     assert rep.gap_fit is None
@@ -99,7 +99,7 @@ def test_decompose_rank_one_perturbation():
     n = 8
     m = rank_one_orthogonal(n, np.ones(n)).matrix  # I - J/4
     rep = decompose(m, snap_tol=0.3)
-    assert rep.f.nonzero_count == n
+    assert sum(e is not None for e in rep.f.entries) == n
     assert all(e == (i, 1) for i, e in enumerate(rep.f.entries))
     assert rep.residual_rank == 1
     assert rep.gap_fit is not None
