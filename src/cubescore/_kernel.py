@@ -60,7 +60,7 @@ LOW_BITS = 12
 #: this share of the half-cube; denser candidates take the dense walk.
 _FILTER_SHARE = 1 / 8
 
-#: Half-cube vectors whose images rank the rows as filter rows.
+#: Walk columns whose images rank the rows as filter rows.
 _FILTER_SAMPLE = 1024
 
 #: Candidate columns checked per batch by the window filter.
@@ -226,15 +226,15 @@ def _window_filter(low: np.ndarray, offsets: np.ndarray, window: Window, indices
     """
     rows, width = low.shape
     nblocks = offsets.shape[1]
+    total = width * nblocks
     tol = window.tol
     centers = sorted({window.center, -window.center})
     row = 0
     if rows > 1:
         # the share of a fixed spread of walk positions near a center ranks
         # the rows (an odd multiplier permutes the positions)
-        total = width * nblocks
-        pos = np.arange(min(_FILTER_SAMPLE, total)) * 0x9E3779B1 % total
-        y = low[:, pos % width] + offsets[:, pos // width]
+        spread = np.arange(min(_FILTER_SAMPLE, total)) * 0x9E3779B1 % total
+        y = low[:, spread % width] + offsets[:, spread // width]
         share = (window.distance(y) <= tol).mean(axis=1)
         row = int(np.argmin(share))
         if share[row] > _FILTER_SHARE:
@@ -244,7 +244,7 @@ def _window_filter(low: np.ndarray, offsets: np.ndarray, window: Window, indices
     # each center's window is [i0, i1) [i1, j1) [j1, j0): edge, certain, edge
     begin, end = bounds[:, 0::2], bounds[:, 1::2]
     done = np.cumsum((end - begin).sum(axis=1))  # edge columns up to each block
-    if done[-1] > _FILTER_SHARE * nblocks * width:
+    if done[-1] > _FILTER_SHARE * total:
         return None
     gray = np.arange(nblocks)
     gray ^= gray >> 1
