@@ -2,13 +2,12 @@
 
 Every exhaustive statistic over ``{-1,+1}^n`` walks the hypercube through
 :func:`sign_walk`: the low ``b`` coordinates form one vectorized block of
-``2**b`` columns whose image is computed once, and the remaining high
-coordinates follow a reflected Gray code, each block adding the image of its
-high coordinates to that fixed low image.  Those images are one table of
-offsets, one column per block.  Both tables are built by doubling, one
-coordinate at a time, without a matrix product, so the walk's sums do not
-depend on the BLAS build or its thread count.  :func:`iter_sign_blocks`
-forms every block of a walk densely.
+``2**b`` columns whose image is computed once, and each block adds the image
+of the remaining high coordinates to that fixed low image.  Those images
+are one table of offsets, one column per block.  Both tables are in natural
+bitmask order and built by doubling, one coordinate at a time, without a
+matrix product, so the walk's sums do not depend on the BLAS build or its
+thread count.  :func:`iter_sign_blocks` forms every block of a walk densely.
 
 Operations state a rule and the reducers here apply it: :func:`count_signs`
 counts the vectors whose image satisfies a rule, over the half-cube walk or
@@ -84,20 +83,18 @@ def sign_walk(m: np.ndarray, *, half: bool = False, members: bool = False
     most :data:`LOW_BITS`; its column ``c`` is the image of the low
     coordinates with bitmask ``c`` (bit set means -1).  ``offsets`` has shape
     ``(rows, nblocks)``; its column ``k`` is the image of the high
-    coordinates with bitmask ``gray = k ^ (k >> 1)``, so
-    ``low[:, c] + offsets[:, k]`` is ``M @ x`` for the vector with bitmask
-    ``(gray << b) | c``, and ``(-1)**k`` is the product of the high signs.
+    coordinates with bitmask ``k``, so ``low[:, c] + offsets[:, k]`` is
+    ``M @ x`` for the vector with bitmask ``(k << b) | c``.
 
     ``half=True`` walks only the vectors whose last coordinate is +1, one of
     each pair ``{x, -x}``.  ``members=True`` replaces every sign ``1 - 2*bit``
     by the 0/1 membership ``bit``, so the images are column subset sums.
 
-    Both tables come from :func:`_doubling`, the low image in natural
-    bitmask order and the offsets in reflected-Gray order; a half walk's
-    fixed last coordinate then adds its clear value to every offset.  Each
-    entry is thus a left-to-right sum over its coordinates: exact to one
-    direct product's error bound however long the walk, and the same on any
-    BLAS build or thread count.  The offsets take ``8 * rows * nblocks``
+    Both tables come from :func:`_doubling`; a half walk's fixed last
+    coordinate then adds its clear value to every offset.  Each entry is
+    thus a left-to-right sum over its coordinates: exact to one direct
+    product's error bound however long the walk, and the same on any BLAS
+    build or thread count.  The offsets take ``8 * rows * nblocks``
     bytes, 31 MB for a 30-row half walk at n=30.
     """
     n = m.shape[1]
@@ -106,38 +103,35 @@ def sign_walk(m: np.ndarray, *, half: bool = False, members: bool = False
     walked = n - 1 if half else n
     b = min(walked, LOW_BITS)
     clear, flip = (0.0, 1.0) if members else (1.0, -1.0)
-    low = _doubling(m[:, :b], clear, flip, gray=False)
-    offsets = _doubling(m[:, b:walked], clear, flip, gray=True)
+    low = _doubling(m[:, :b], clear, flip)
+    offsets = _doubling(m[:, b:walked], clear, flip)
     if half:
         offsets += clear * m[:, -1, None]  # the fixed last coordinate
     return low, offsets
 
 
-def _doubling(cols: np.ndarray, clear: float, flip: float, *, gray: bool) -> np.ndarray:
-    """Per bitmask of ``cols``' coordinates, the sum over ``j`` of ``flip``
-    (bit ``j`` set) or ``clear`` times column ``j``.  For each ``j`` in
-    order, the new upper half is a source half plus ``flip`` times column
-    ``j``, then the lower half adds ``clear`` times it.  The source is the
-    lower half, so column ``k`` is bitmask ``k``, or with ``gray`` the lower
-    half reversed, so column ``k`` is bitmask ``k ^ (k >> 1)``."""
+def _doubling(cols: np.ndarray, clear: float, flip: float) -> np.ndarray:
+    """Per bitmask ``k`` of ``cols``' coordinates, column ``k``: the sum
+    over ``j`` of ``flip`` (bit ``j`` set) or ``clear`` times column ``j``.
+    For each ``j`` in order, the new upper half is the lower half plus
+    ``flip`` times column ``j``, then the lower half adds ``clear`` times
+    it."""
     table = np.zeros((cols.shape[0], 1 << cols.shape[1]))
     for j in range(cols.shape[1]):
         size = 1 << j
-        source = table[:, size - 1::-1] if gray else table[:, :size]
-        np.add(source, flip * cols[:, j, None], out=table[:, size:2 * size])
+        np.add(table[:, :size], flip * cols[:, j, None], out=table[:, size:2 * size])
         table[:, :size] += clear * cols[:, j, None]
     return table
 
 
 def iter_sign_blocks(low: np.ndarray, offsets: np.ndarray) -> Iterator[tuple[np.ndarray, int, int]]:
-    """Yield ``(y, high_gray, high_parity)`` blocks covering a
-    :func:`sign_walk`.
+    """Yield ``(y, k, high_parity)`` blocks covering a :func:`sign_walk`.
 
     Block ``k`` is ``y = low + offsets[:, k]``, whose column ``c`` is
-    ``M @ x`` for the sign vector with bitmask ``(high_gray << b) | c``,
-    where ``high_gray = k ^ (k >> 1)`` and ``high_parity = (-1)**k``.  ``y``
-    is one scratch buffer rewritten at each step; consumers may overwrite it
-    but must finish with a block before advancing.
+    ``M @ x`` for the sign vector with bitmask ``(k << b) | c``, and
+    ``high_parity = (-1)**popcount(k)`` is the product of its high signs.
+    ``y`` is one scratch buffer rewritten at each step; consumers may
+    overwrite it but must finish with a block before advancing.
     """
     y = np.empty_like(low)
     # row by row: adding a scalar to a contiguous row is about twice as fast
@@ -146,7 +140,7 @@ def iter_sign_blocks(low: np.ndarray, offsets: np.ndarray) -> Iterator[tuple[np.
     for k in range(offsets.shape[1]):
         for (lo, out), o in zip(row_pairs, offsets[:, k].tolist()):
             np.add(lo, o, out=out)
-        yield y, k ^ (k >> 1), -1 if k & 1 else 1
+        yield y, k, -1 if k.bit_count() & 1 else 1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -197,9 +191,9 @@ def half_cube_hits(m: np.ndarray, hit: Callable, *, indices: bool = False):
     found = _window_filter(*walk, hit, indices) if isinstance(hit, Window) else None
     if found is None:
         found = []
-        for y, gray, _ in iter_sign_blocks(*walk):
+        for y, k, _ in iter_sign_blocks(*walk):
             mask = hit(y)
-            found.append(gray * mask.size + np.flatnonzero(mask) if indices else int(np.count_nonzero(mask)))
+            found.append(k * mask.size + np.flatnonzero(mask) if indices else int(np.count_nonzero(mask)))
     return np.concatenate(found).astype(np.int64) if indices else sum(found)
 
 
@@ -246,12 +240,10 @@ def _window_filter(low: np.ndarray, offsets: np.ndarray, window: Window, indices
     done = np.cumsum((end - begin).sum(axis=1))  # edge columns up to each block
     if done[-1] > _FILTER_SHARE * total:
         return None
-    gray = np.arange(nblocks)
-    gray ^= gray >> 1
     certain = bounds[:, 1::4], bounds[:, 2::4]
     if indices:
         block, pos = _ranges(*certain)
-        found = [gray[block] * width + order[pos]]
+        found = [block * width + order[pos]]
     else:
         found = [int((certain[1] - certain[0]).sum())]
     cuts = np.searchsorted(done, np.arange(_FILTER_BATCH, done[-1], _FILTER_BATCH), "right")
@@ -263,7 +255,7 @@ def _window_filter(low: np.ndarray, offsets: np.ndarray, window: Window, indices
             y = low[:, cols]
             y += offsets[:, block]
             mask = window(y)
-            found.append(gray[block[mask]] * width + cols[mask] if indices else int(np.count_nonzero(mask)))
+            found.append(block[mask] * width + cols[mask] if indices else int(np.count_nonzero(mask)))
     return found
 
 
@@ -322,12 +314,12 @@ def modal_signed_sum(a: np.ndarray, group_tol: float) -> tuple[int, np.ndarray, 
     Values are grouped by rounding each coordinate to the ``group_tol`` grid,
     which is exact for integer-valued sums and a documented approximation
     otherwise.  Returns ``(count, representative, total)`` where the
-    representative is the first vector seen in the winning group and ties
-    between groups break to the lexicographically smallest grid key.
+    representative is the image of the smallest bitmask in the winning group
+    and ties between groups break to the lexicographically smallest grid key.
 
-    Each block contributes its distinct keys, their counts and their first
-    images; one :func:`group_rows` over all blocks' keys, in walk order,
-    merges them.
+    Each block contributes its distinct keys, their counts and their images
+    of smallest bitmask; one stable :func:`group_rows` over all blocks'
+    keys, in block order, merges them.
     """
     group_tol = check_fraction(group_tol, "group_tol")
     blocks = []

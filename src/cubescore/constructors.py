@@ -248,7 +248,7 @@ def rank_one_orthogonal(n: int, t) -> ConstructionCertificate:
     The all-ones ``t`` gives the reflection ``I - (2/n) J``.
     """
     n = check_int(n, "n", 1)
-    tv = np.asarray(t, dtype=float)
+    tv = check_numbers(t, "t")
     if tv.shape != (n,):
         raise PreconditionError(f"t must have length {n}, got shape {tv.shape}")
     if not np.all(np.isfinite(tv)):

@@ -80,8 +80,9 @@ class ToleranceConfig:
 
 
 def check_fraction(value: float, name: str = "tolerance") -> float:
-    """``value`` as a float, which must be finite and lie strictly between 0 and 1."""
-    if not 0.0 < value < 1.0:  # also false for nan
+    """``value`` as a float: a number, not a bool, lying strictly between 0
+    and 1 (so finite)."""
+    if not (_is_number(value) and 0.0 < value < 1.0):  # also false for nan
         raise PreconditionError(f"{name} must lie strictly between 0 and 1, got {value!r}")
     return float(value)
 

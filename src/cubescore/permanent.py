@@ -1,7 +1,7 @@
 """Permanent computation and estimation.
 
 Four routes with very different trust profiles: Ryser's inclusion-exclusion
-(exact, ``O(2**n * n)`` via a Gray-code subset walk), the naive permutation
+(exact, ``O(2**n * n)`` via a blocked subset walk), the naive permutation
 sum (exact, tiny ``n``, kept as an independent oracle), the sign-vector
 expectation identity ``per(M) = E[prod_i x_i (Mx)_i]`` (exact enumeration or
 Monte Carlo), and a balls-in-bins collision experiment that estimates the
@@ -48,7 +48,7 @@ class PermanentReport:
 def ryser_value(m) -> float:
     """Exact permanent by Ryser's formula, as a bare float.
 
-    Column subsets are walked by the shared Gray-code kernel in its 0/1
+    Column subsets are walked by the shared exhaustive kernel in its 0/1
     membership form, the low twelve columns batched into one vectorized
     block; block partial sums are reduced with exact float summation.
     Capped at ``n <= 30``, where the walk raises :class:`CapacityError`;

@@ -19,6 +19,7 @@ from .core import (
     DEFAULT_TOLERANCES,
     PreconditionError,
     SignVector,
+    _is_number,
     as_matrix,
     as_signs,
     check_fraction,
@@ -108,7 +109,7 @@ def threshold_score(
     invariant under ``x -> -x``, so half the cube is walked) or ``"mc"``.
     """
     arr = as_matrix(m, square=True)
-    if not (0.0 < theta <= 1.0):
+    if not (_is_number(theta) and 0.0 < theta <= 1.0):
         raise PreconditionError(f"theta must lie in (0, 1], got {theta!r}")
 
     def clears(y: np.ndarray) -> np.ndarray:

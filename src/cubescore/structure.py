@@ -26,6 +26,7 @@ from .core import (
     check_column_stochastic,
     check_fraction,
     check_int,
+    check_numbers,
     column_sign_pairs,
     is_orthogonal,
     numeric_rank,
@@ -362,12 +363,12 @@ def concentration_probability(
     representative mode.  Caps: ``n <= 24``, ``d <= 64``.
     """
     if isinstance(vectors, (list, tuple)):
-        cols = [np.asarray(v, dtype=float).reshape(-1) for v in vectors]
+        cols = [check_numbers(v, "vectors").reshape(-1) for v in vectors]
         if any(c.size != cols[0].size for c in cols):
             raise PreconditionError("all vectors must share the same length")
         arr = np.stack(cols, axis=1)
     else:
-        arr = np.asarray(vectors, dtype=float)
+        arr = check_numbers(vectors, "vectors")
         if arr.ndim == 1:
             arr = arr[None, :]
     arr = as_matrix(arr, name="vectors")

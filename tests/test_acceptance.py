@@ -49,7 +49,7 @@ from .conftest import rand_antisymmetric, rand_col_stochastic, rand_orthogonal
 
 
 def test_criterion_01_score_oracle_equivalence():
-    # blocked Gray-walk scoring equals the naive per-vector recompute,
+    # blocked-walk scoring equals the naive per-vector recompute,
     # hit for hit, on 50 seeded matrices with n <= 12, in under 5 seconds
     rng = np.random.default_rng(1001)
     start = time.perf_counter()

@@ -5,6 +5,7 @@ from cubescore.constructors import (
     GapDescriptor,
     gap_perturbed_selector,
     perm_reflection,
+    rank_one_orthogonal,
     rank_r_orthogonal,
     selector_matrix,
 )
@@ -25,9 +26,11 @@ from cubescore.core import (
     sign_matrix_from_rows,
 )
 from cubescore.permanent import balls_in_bins_estimate, bernoulli_permanent
-from cubescore.score import mc_score, product_statistic
+from cubescore.score import exact_score, mc_score, product_statistic, threshold_score
 from cubescore.structure import (
     SparseSignMatrix,
+    concentration_probability,
+    dominance_analysis,
     hamming_check,
     procrustes_fit,
     stochastic_certificate,
@@ -268,6 +271,19 @@ def _rejection_cases():
         ("gap-generators-string", lambda: GapDescriptor("x", (0,), (1,)), PreconditionError),
         ("gap-generators-ragged", lambda: GapDescriptor([[1, 0], [1]], (0, 0), (1, 1)), PreconditionError),
         ("gap-symmetric-string", lambda: GapDescriptor(np.ones((1, 4)), (-1,), (1,), "no"), PreconditionError),
+        ("exact_score-tol-string", lambda: exact_score(eye, "0.1"), PreconditionError),
+        ("threshold_score-theta-string", lambda: threshold_score(eye, "0.5"), PreconditionError),
+        ("threshold_score-theta-bool", lambda: threshold_score(eye, True), PreconditionError),
+        ("dominance_analysis-epsilon-string", lambda: dominance_analysis(np.eye(3), "x"), PreconditionError),
+        ("bins-stochastic_tol-string", lambda: balls_in_bins_estimate(eye, 10, 1, stochastic_tol="x"),
+         PreconditionError),
+        ("rank_one-t-bools", lambda: rank_one_orthogonal(2, [True, True]), PreconditionError),
+        ("rank_one-t-strings", lambda: rank_one_orthogonal(2, ["1", "2"]), PreconditionError),
+        ("concentration-vectors-strings", lambda: concentration_probability(["1", "2"]), PreconditionError),
+        ("concentration-vectors-bools", lambda: concentration_probability(np.array([True, False])),
+         PreconditionError),
+        ("concentration-vector-list-bool", lambda: concentration_probability([[1, 2], [True, 1]]),
+         PreconditionError),
     ]
     return cases
 

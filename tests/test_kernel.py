@@ -18,6 +18,8 @@ from cubescore.permanent import bernoulli_permanent, ryser_value
 from cubescore.score import exact_score, mc_score, threshold_score
 from cubescore.structure import concentration_probability
 
+from .conftest import run_python
+
 
 def pinned_matrices():
     # small-integer entries keep every permanent and Monte Carlo sum exact,
@@ -95,6 +97,15 @@ def test_modal_representative_is_first_visited_in_its_cell():
     assert rep.tolist() == [-0.3 + 0.31]
 
 
+def test_modal_representative_is_the_smallest_bitmask_across_blocks():
+    # four blocks of 4096 equal sums: 1.01, 0.99, -0.99 and -1.01 for high
+    # bitmasks 0..3.  The cells at +-1 tie and the tie goes to -1, whose
+    # smallest bitmask is in block 2, so the representative is -0.99
+    a = np.array([[0.0] * 12 + [0.01, 1.0]])
+    count, rep, total = _kernel.modal_signed_sum(a, 0.5)
+    assert (count, rep.tolist(), total) == (8192, [0.01 - 1.0], 16384)
+
+
 @pytest.mark.parametrize("group_tol", [float("nan"), 0.0, 1.0, float("inf")])
 def test_group_tol_out_of_range_is_rejected(group_tol):
     with pytest.raises(PreconditionError, match="group_tol"):
@@ -146,12 +157,12 @@ def left_to_right(cols, masks, members):
 
 
 def walk_oracle(m, half, members):
-    # the low image in natural bitmask order, and the offsets over the high
-    # coordinates of Gray code k, the fixed last one of a half walk last
+    # both tables in natural bitmask order, the offsets over the high
+    # coordinates, the fixed last one of a half walk last
     n = m.shape[1]
     b = min(n - half, _kernel.LOW_BITS)
-    gray = [k ^ (k >> 1) for k in range(1 << (n - half - b))]
-    return left_to_right(m[:, :b], range(1 << b), members), left_to_right(m[:, b:], gray, members)
+    return (left_to_right(m[:, :b], range(1 << b), members),
+            left_to_right(m[:, b:], range(1 << (n - half - b)), members))
 
 
 @pytest.mark.parametrize("half, members", WALKS, ids=["full", "full-members", "half", "half-members"])
@@ -168,8 +179,8 @@ def test_offset_table_is_a_left_to_right_sum(half, members, n):
         assert low.tobytes() == low_oracle[:rows].tobytes()
         assert offsets.tobytes() == offsets_oracle[:rows].tobytes()
     k = -1
-    for k, (y, gray, parity) in enumerate(_kernel.iter_sign_blocks(low, offsets)):
-        assert (gray, parity) == (k ^ (k >> 1), (-1) ** k)
+    for k, (y, high, parity) in enumerate(_kernel.iter_sign_blocks(low, offsets)):
+        assert (high, parity) == (k, (-1) ** k.bit_count())
         assert y.tobytes() == (low + offsets[:, k, None]).tobytes()
     assert k + 1 == offsets.shape[1]
 
@@ -407,3 +418,22 @@ def test_block_images_are_equal_at_every_thread_count(n):
     assert len(first) == 3
     for threads in (2, 3):
         assert _kernel.mc_sign_blocks(m, samples, 11, image, threads) == first
+
+
+@pytest.mark.parametrize("n", [20, 600])
+def test_block_images_do_not_follow_the_blas_thread_count(n):
+    # OpenBLAS splits a product deeper than its inner-sum block by its own
+    # thread count; the _MC_DEPTH slices must keep every block's image the
+    # same in a process with one BLAS thread and one with two (n=600 takes
+    # three slices; one product of its full depth differs)
+    code = (
+        "import hashlib\n"
+        "import numpy as np\n"
+        "from cubescore import _kernel\n"
+        f"m = np.random.default_rng({n}).normal(size=(16, {n}))\n"
+        f"samples = 2 * _kernel.mc_rows({n}) + 37\n"
+        "image = lambda y, _: hashlib.sha256(y.tobytes()).hexdigest()\n"
+        "print(_kernel.mc_sign_blocks(m, samples, 11, image))\n"
+    )
+    one, two = (run_python(code, OPENBLAS_NUM_THREADS=k) for k in ("1", "2"))
+    assert one == two

@@ -75,7 +75,7 @@ def test_bernoulli_exact_matches_ryser(rng):
 
 
 def test_bernoulli_exact_spans_the_low_block_boundary(rng):
-    # n = 13 exercises the Gray walk over high columns, not just the
+    # n = 13 exercises the walk over high columns, not just the
     # vectorized low block
     m = rng.normal(size=(13, 13)) / 4.0
     rep = bernoulli_permanent(m)

@@ -132,10 +132,10 @@ def test_walk_does_not_drift(rng, walk):
     # walk that updates its block in place by rank-one steps drifts to 9e-11
     n = 24
     m = rng.uniform(-200.0, 200.0, size=(n, n))
-    for y, gray, _ in _kernel.iter_sign_blocks(*_kernel.sign_walk(m, **walk)):
+    for y, k, _ in _kernel.iter_sign_blocks(*_kernel.sign_walk(m, **walk)):
         pass
     b = y.shape[1].bit_length() - 1
-    idx = (gray << b) | np.arange(y.shape[1])
+    idx = (k << b) | np.arange(y.shape[1])
     x = 1.0 - 2.0 * ((idx[None, :] >> np.arange(n)[:, None]) & 1)
     bound = n * np.finfo(float).eps * np.abs(m).sum(axis=1).max()
     assert np.abs(y - m @ x).max() <= bound
