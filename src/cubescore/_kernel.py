@@ -20,6 +20,14 @@ walk, the shared core of Ryser's and Glynn's permanent formulas;
 keys by :func:`group_rows`: a stable lexicographic sort of the rows and the
 start of each run of equal rows.
 
+Integer-valued sums skip the walk: :func:`integer_sum_counts` packs each
+vector of sums ``A @ x`` into one ``int64`` key and doubles the set of keys
+one coordinate at a time, which gives every distinct sum exactly, its count
+and its smallest bitmask.  :func:`modal_signed_sum` and the rank-one
+zero-sum count read their answers from it, and take the walk only where it
+declines: a non-integral entry, sums near ``2**53``, a key range past
+``int64`` or more than :data:`_INTEGER_STATES` states.
+
 Every Monte Carlo statistic over sign vectors runs through
 :func:`mc_sign_blocks`.  Samples come in blocks of :func:`mc_rows` rows,
 each drawn from its own counter-based Philox substream (:func:`block_rng`).
@@ -64,6 +72,10 @@ _FILTER_SAMPLE = 1024
 
 #: Candidate columns checked per batch by the window filter.
 _FILTER_BATCH = 1 << 15
+
+#: States that :func:`integer_sum_counts` keeps at most, ``min(P, 2**n)``:
+#: a dense count per key, or one key per sign vector; beyond it the walk runs.
+_INTEGER_STATES = 1 << 20
 
 #: Sample rows generated per Monte Carlo block.
 MC_BLOCK = 1 << 16
@@ -308,7 +320,71 @@ def parity_product_sum(m: np.ndarray, *, half: bool = False, members: bool = Fal
     )
 
 
-def modal_signed_sum(a: np.ndarray, group_tol: float) -> tuple[int, np.ndarray, int]:
+def integer_sum_counts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Every distinct value of ``A @ x`` over ``x`` in ``{-1,+1}^n``, exactly,
+    for an integer-valued ``(d, n)`` array ``A``; ``None`` when it declines.
+
+    Returns ``(sums, counts, first)``: the distinct sums as a ``(k, d)``
+    ``int64`` array in lexicographic order, row 0 most significant, how many
+    ``x`` reach each, and the smallest bitmask reaching each (bit ``j`` set
+    means ``x_j = -1``).
+
+    A sum vector packs into one ``int64`` key: row ``r`` is offset by
+    ``S_r = sum_j |a_rj|`` and has radix ``2 S_r + 1``, row 0 most
+    significant, so key order is lexicographic order.  Starting from ``x =
+    1``, coordinate ``j`` doubles the states, in bitmask order: the old ones
+    and the old ones shifted by ``-2 packed(a_j)`` with bit ``j`` set.  When
+    the key range ``P`` is at most ``2**n`` the states are a dense count per
+    key, with the smallest bitmask reaching each.  Otherwise they are the
+    ``2**n`` keys themselves, entry ``k`` for bitmask ``k``, and one sort
+    groups them.
+
+    Declines non-integral entries, ``S_r >= 2**53`` (where float sums stop
+    being exact), a ``P`` past ``int64``, ``n > 62`` (counts past
+    ``int64``) and ``min(P, 2**n)`` above :data:`_INTEGER_STATES`.
+    """
+    d, n = a.shape
+    span = np.abs(a).sum(axis=1)
+    if n > 62 or not np.all(a == np.round(a)) or span.max() >= 2.0**53:
+        return None
+    span = [int(s) for s in span]
+    radix = [2 * s + 1 for s in span]
+    size = math.prod(radix)
+    if size >= 1 << 63 or min(size, 1 << n) > _INTEGER_STATES:
+        return None
+    weight = np.array([math.prod(radix[r + 1:]) for r in range(d)])
+    step = (weight @ a.astype(np.int64)).tolist()
+    start = (size - 1) // 2 + sum(step)  # the zero sum packs to (size - 1) // 2
+    if size <= 1 << n:
+        counts = np.zeros(size, np.int64)
+        first = np.zeros(size, np.int64)
+        counts[start] = 1
+        for j, s in enumerate(step):
+            # old key k + 2s moves to k; the shift stays inside [0, size)
+            src, dst = (slice(2 * s, None), slice(None, size - 2 * s)) if s >= 0 else \
+                       (slice(None, size + 2 * s), slice(-2 * s, None))
+            first[dst] = np.where(counts[dst] > 0, first[dst], first[src] | 1 << j)
+            counts[dst] += counts[src]
+        keys = np.flatnonzero(counts)
+        counts, first = counts[keys], first[keys]
+    else:
+        raw = np.array([start])
+        for s in step:
+            raw = np.concatenate([raw, raw - 2 * s])  # entry k: the key of bitmask k
+        order = np.argsort(raw)
+        raw = raw[order]
+        starts = np.flatnonzero(np.r_[True, raw[1:] != raw[:-1]])
+        keys, counts, first = raw[starts], np.diff(starts, append=raw.size), np.minimum.reduceat(order, starts)
+    sums = np.empty((keys.size, d), np.int64)
+    for r in reversed(range(d)):
+        high = keys // radix[r]
+        sums[:, r] = keys - high * radix[r] - span[r]
+        keys = high
+    return sums, counts, first
+
+
+def modal_signed_sum(a: np.ndarray, group_tol: float, walk_cap: int = ENUMERATION_CAP
+                     ) -> tuple[int, np.ndarray, int]:
     """Most frequent value of ``A @ x`` over ``x`` in ``{-1,+1}^m``.
 
     Values are grouped by rounding each coordinate to the ``group_tol`` grid,
@@ -317,11 +393,29 @@ def modal_signed_sum(a: np.ndarray, group_tol: float) -> tuple[int, np.ndarray, 
     representative is the image of the smallest bitmask in the winning group
     and ties between groups break to the lexicographically smallest grid key.
 
-    Each block contributes its distinct keys, their counts and their images
-    of smallest bitmask; one stable :func:`group_rows` over all blocks'
-    keys, in block order, merges them.
+    Integer-valued ``A`` goes through :func:`integer_sum_counts` where it
+    takes it.  Every sum of ``+-a_rj`` has the parity of ``S_r``, so
+    distinct sums differ by at least 2 in some row, and below ``2**53`` the
+    grid quotient errs by at most 1/2: each grid cell holds one exact sum,
+    and the reducer's groups, counts, order and float images are the
+    walk's.  Otherwise the walk runs, refused with :class:`CapacityError`
+    past ``walk_cap`` columns: each block contributes its distinct keys,
+    their counts and their images of smallest bitmask; one stable
+    :func:`group_rows` over all blocks' keys, in block order, merges them.
     """
     group_tol = check_fraction(group_tol, "group_tol")
+    found = integer_sum_counts(a)
+    if found is not None:
+        sums, counts, _ = found
+        # raises where the walk's keys would: the largest |sum| of each row
+        grid_keys(np.abs(sums).max(axis=0).astype(float), group_tol)
+        best = int(np.argmax(counts))  # sums come sorted, so a tie goes to the smallest key
+        return int(counts[best]), sums[best].astype(float), 1 << a.shape[1]
+    if a.shape[1] > walk_cap:
+        raise CapacityError(
+            f"the walk over signed sums is capped at n={walk_cap}, got {a.shape[1]}; only integer"
+            f" entries whose exact sums fit {_INTEGER_STATES} states go beyond it"
+        )
     blocks = []
     for y, _, _ in iter_sign_blocks(*sign_walk(a)):
         keys = grid_keys(y.T, group_tol)

@@ -46,8 +46,8 @@ GAP_SIZE_CAP = 10**6
 #: The GAP-perturbed constructor enumerates 2**(n-1) partial sums.
 GAP_PERTURBED_CAP = 25
 
-#: Above this n the rank-one constructor stops computing its exact bound
-#: (the reported lower bound degrades to the trivial 0).
+#: Above this n the rank-one constructor stops walking the cube for its
+#: exact bound: a ``t`` the integer reducer declines claims the trivial 0.
 RANK_ONE_CLAIM_CAP = 24
 
 
@@ -233,7 +233,15 @@ def selector_matrix(n: int, targets) -> ConstructionCertificate:
 
 
 def _zero_sum_probability(t: np.ndarray, tol: float) -> float:
-    # fraction of sign vectors orthogonal to t (|t . x| is invariant under x -> -x)
+    # fraction of sign vectors x with |t . x| <= tol: over the exact integer
+    # sums where the reducer takes t, else by the walk up to the cap (the
+    # rule is invariant under x -> -x) and 0.0, a valid but empty bound, beyond
+    found = _kernel.integer_sum_counts(t[None, :])
+    if found is not None:
+        sums, counts, _ = found
+        return int(counts[np.abs(sums[:, 0]) <= tol].sum()) / (1 << t.size)
+    if t.size > RANK_ONE_CLAIM_CAP:
+        return 0.0
     hits, total, _ = _kernel.count_signs(t[None, :], _kernel.Window(0.0, tol))
     return hits / total
 
@@ -243,8 +251,10 @@ def rank_one_orthogonal(n: int, t) -> ConstructionCertificate:
 
     Requires ``t[0] == 1`` as a normalization.  Sign vectors orthogonal to
     ``t`` are fixed by ``M``, so the score is at least the fraction of the
-    hypercube with ``t . x = 0``; that fraction is computed exactly up to
-    ``n = 24`` and reported as 0 beyond (still a valid lower bound).
+    hypercube with ``t . x = 0``.  That fraction is exact for integer ``t``
+    up to ``n = 62`` (:func:`_kernel.integer_sum_counts`); any other ``t``
+    walks the cube up to ``n = 24`` and reports 0 beyond (still a valid
+    lower bound).
     The all-ones ``t`` gives the reflection ``I - (2/n) J``.
     """
     n = check_int(n, "n", 1)
@@ -260,10 +270,7 @@ def rank_one_orthogonal(n: int, t) -> ConstructionCertificate:
     m = np.eye(n) + x * np.outer(tv, tv)
     if not is_orthogonal(m, 1e-8):
         raise InternalCheckError("rank-one construction failed its orthogonality check")
-    if n <= RANK_ONE_CLAIM_CAP:
-        claimed = _zero_sum_probability(tv, DEFAULT_TOLERANCES.membership_tol)
-    else:
-        claimed = 0.0
+    claimed = _zero_sum_probability(tv, DEFAULT_TOLERANCES.membership_tol)
     return ConstructionCertificate(
         m, "rank_one", n, claimed, True,
         {"t": tv.tolist(), "x": x},

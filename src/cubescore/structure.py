@@ -35,7 +35,8 @@ from .core import (
 from .constructors import GAP_RANK_CAP, GapDescriptor, integer_fit
 from .permanent import ryser_value
 
-#: Exhaustive concentration search caps.
+#: Exhaustive concentration search caps; ``RHO_N_CAP`` bounds the walk,
+#: which integer vectors within the exact reducer's budget skip.
 RHO_N_CAP = 24
 RHO_DIM_CAP = 64
 
@@ -360,7 +361,9 @@ def concentration_probability(
     array is treated as scalars, ``d = 1``; a list of 1-D vectors is stacked
     as columns).  Sums are grouped on a ``group_tol`` grid, exact for integer
     inputs.  Returns the modal group's probability ``rho`` and a
-    representative mode.  Caps: ``n <= 24``, ``d <= 64``.
+    representative mode.  Caps: ``d <= 64``, and ``n <= 24`` unless the
+    vectors are integers whose exact sums :func:`_kernel.integer_sum_counts`
+    takes.
     """
     if isinstance(vectors, (list, tuple)):
         cols = [check_numbers(v, "vectors").reshape(-1) for v in vectors]
@@ -373,11 +376,9 @@ def concentration_probability(
             arr = arr[None, :]
     arr = as_matrix(arr, name="vectors")
     d, n = arr.shape
-    if n > RHO_N_CAP:
-        raise CapacityError(f"concentration search is capped at n={RHO_N_CAP}, got {n}")
     if d > RHO_DIM_CAP:
         raise CapacityError(f"ambient dimension is capped at {RHO_DIM_CAP}, got {d}")
-    count, mode, total = _kernel.modal_signed_sum(arr, group_tol)
+    count, mode, total = _kernel.modal_signed_sum(arr, group_tol, RHO_N_CAP)
     return ConcentrationReport(n, d, count, total, count / total, mode, float(group_tol))
 
 

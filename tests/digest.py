@@ -9,7 +9,10 @@ Each windowed walk runs twice, forced through the sorted-window filter and
 forced past it.  The results are exact hit sets at two tolerances, exact
 and threshold counts, Ryser and Glynn permanents (as float hex), rank-one
 zero-sum claims and concentration counts and modes, on matrices of 1 to 26
-rows.  Not collected by pytest; it takes about ten seconds.
+rows.  The last lines take integer inputs past the walk's caps: rank-one
+claims at n=26..40 and one-row concentration at n=26..32, where a checkout
+that refuses the input prints the hash of ``CapacityError``.  Not collected
+by pytest; it takes about ten seconds.
 """
 
 import contextlib
@@ -19,6 +22,7 @@ import numpy as np
 
 from cubescore import _kernel
 from cubescore.constructors import rank_one_orthogonal
+from cubescore.core import CapacityError
 from cubescore.permanent import bernoulli_permanent, ryser_value
 from cubescore.score import exact_hit_indices, exact_score, threshold_score
 from cubescore.structure import concentration_probability
@@ -109,9 +113,27 @@ def concentration():
     emit("rho-mode/tie-across-blocks/n=14", concentration_probability([0.0] * 12 + [0.01, 1.0], 0.5).mode)
 
 
+def past_the_caps():
+    for n in range(26, 41):
+        t = np.random.default_rng(200 + n).integers(1, 4, size=n) * 1.0
+        t[0] = 1.0
+        emit(f"rank1/ints/n={n}", rank_one_orthogonal(n, t).claimed_score_lower_bound.hex())
+    for n in range(26, 33):
+        v = np.random.default_rng(300 + n).integers(-3, 4, size=(1, n)) * 1.0
+        try:
+            rep = concentration_probability(v, 1e-9)
+        except CapacityError:
+            emit(f"rho-count/int/d=1/n={n}", "CapacityError")
+            emit(f"rho-mode/int/d=1/n={n}", "CapacityError")
+        else:
+            emit(f"rho-count/int/d=1/n={n}", rep.count)
+            emit(f"rho-mode/int/d=1/n={n}", rep.mode)
+
+
 if __name__ == "__main__":
     hit_sets()
     threshold_counts()
     permanents()
     rank_one_claims()
     concentration()
+    past_the_caps()

@@ -13,7 +13,7 @@ import pytest
 
 from cubescore import _kernel
 from cubescore.constructors import _zero_sum_probability, rank_one_orthogonal
-from cubescore.core import PreconditionError
+from cubescore.core import CapacityError, PreconditionError
 from cubescore.permanent import bernoulli_permanent, ryser_value
 from cubescore.score import exact_score, mc_score, threshold_score
 from cubescore.structure import concentration_probability
@@ -76,14 +76,29 @@ def test_count_signs_in_both_modes():
         _kernel.count_signs(m, everything, "mc", 100)
 
 
-def test_modal_sum_pinned_across_blocks():
+def _no_walk(*args, **kwargs):
+    raise AssertionError("the integer reducer fell back to the walk")
+
+
+@pytest.fixture(params=["reducer", "walk"])
+def sum_path(request, monkeypatch):
+    """Integer signed sums forced through ``integer_sum_counts`` (the walk
+    raises) or past it (the reducer declines)."""
+    if request.param == "reducer":
+        monkeypatch.setattr(_kernel, "iter_sign_blocks", _no_walk)
+    else:
+        monkeypatch.setattr(_kernel, "integer_sum_counts", lambda a: None)
+    return request.param
+
+
+def test_modal_sum_pinned_across_blocks(sum_path):
     v = np.array([[1, 2, -1, 3, 0, 2, 1, -2, 1, 1, 3, -1, 2, 1],
                   [0, 1, 1, -1, 2, 0, 1, 1, -2, 1, 0, 1, 1, 2.0]])
     rep = concentration_probability(v)
     assert (rep.count, rep.total, rep.mode.tolist()) == (328, 16384, [-1.0, 0.0])
 
 
-def test_modal_tie_breaks_to_smallest_key():
+def test_modal_tie_breaks_to_smallest_key(sum_path):
     # +1 and -1 occur once each; the walk sees +1 first, the tie goes to -1
     count, rep, total = _kernel.modal_signed_sum(np.array([[1.0]]), 1e-9)
     assert (count, rep.tolist(), total) == (1, [-1.0], 2)
@@ -112,7 +127,7 @@ def test_group_tol_out_of_range_is_rejected(group_tol):
         concentration_probability(np.ones(3), group_tol)
 
 
-def test_grid_keys_must_stay_exact():
+def test_grid_keys_must_stay_exact(sum_path):
     # 1e-300 would need keys near 1e300, far past int64 and 2**53
     with pytest.raises(PreconditionError, match="too fine"):
         concentration_probability(np.array([1.0, 1.0, 2.0]), 1e-300)
@@ -213,6 +228,8 @@ def zero_sum_recount(t):
 
 @pytest.mark.parametrize("share", [1.0, -1.0], ids=["filter", "dense"])
 def test_zero_sum_count_matches_a_recount(monkeypatch, share):
+    # integer t walks too: the integer reducer declines here
+    monkeypatch.setattr(_kernel, "integer_sum_counts", lambda a: None)
     monkeypatch.setattr(_kernel, "_FILTER_SHARE", share)
     rng = np.random.default_rng(6)
     for n in (1, 2, 9, 13, 14, 16, 24):
@@ -230,6 +247,91 @@ def test_zero_sum_count_matches_a_recount(monkeypatch, share):
     sums = np.abs(signed_sums(units)) - round(tol / e)
     assert [np.count_nonzero(sums == d) for d in (-2, 0, 2)] == [1036, 1036, 1036]
     assert _zero_sum_probability(t, tol) == np.count_nonzero(sums <= 0) / (1 << t.size)
+
+
+def walk_histogram(a):
+    # the walk's images, one row per bitmask, sorted stably, so each run of
+    # equal sums starts at its smallest bitmask
+    images = np.concatenate([y.T.copy() for y, _, _ in _kernel.iter_sign_blocks(*_kernel.sign_walk(a))])
+    order = np.lexsort(images.T[::-1])
+    ranked = images[order]
+    starts = np.flatnonzero(np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)])
+    return ranked[starts], np.diff(starts, append=order.size), order[starts]
+
+
+def walked(monkeypatch, fn, *args):
+    with monkeypatch.context() as patch:
+        patch.setattr(_kernel, "integer_sum_counts", lambda a: None)
+        return fn(*args)
+
+
+def assert_reducer_matches_the_walk(monkeypatch, a, group_tol=1e-9):
+    sums, counts, first = _kernel.integer_sum_counts(a)
+    expected = walk_histogram(a)
+    assert sums.astype(float).tobytes() == expected[0].tobytes()
+    assert counts.tolist() == expected[1].tolist()
+    assert first.tolist() == expected[2].tolist()
+    count, rep, total = _kernel.modal_signed_sum(a, group_tol)
+    c, r, t = walked(monkeypatch, _kernel.modal_signed_sum, a, group_tol)
+    assert (count, rep.tobytes(), total) == (c, r.tobytes(), t)
+    assert _zero_sum_probability(a[0], 1e-9) == walked(monkeypatch, _zero_sum_probability, a[0], 1e-9)
+
+
+def test_integer_sums_match_the_walk(monkeypatch):
+    # entries in [-3, 3], zeros and negatives included: one row at every n
+    # up to 20 (dense counts), two to four rows up to n=14 (sorted states)
+    rng = np.random.default_rng(13)
+    for n in range(1, 21):
+        assert_reducer_matches_the_walk(monkeypatch, rng.integers(-3, 4, size=(1, n)).astype(float))
+    for d in (2, 3, 4):
+        for n in (1, 5, 12, 13, 14):
+            assert_reducer_matches_the_walk(monkeypatch, rng.integers(-3, 4, size=(d, n)).astype(float))
+    # a key range just inside int64, and an all-zero row
+    big = np.array([[2**29, -3, 1, 2**29 - 5, 7], [1, 2**30, 0, -3, 3], [0, 0, 0, 0, 0]]) * 1.0
+    assert 2**62 < math.prod(2 * int(s) + 1 for s in np.abs(big).sum(axis=1)) < 2**63
+    assert_reducer_matches_the_walk(monkeypatch, big, 0.5)
+
+
+def test_declined_integer_sums_take_the_walk(monkeypatch):
+    # a half entry, S_r at 2**53, a key range just past int64 and one past
+    # the state budget (cut to 64 states here) all leave the answer to the walk
+    half = np.array([[1.0, 0.5, 2.0]])
+    at_2_53 = np.array([[2.0**52, 2.0**52]])
+    wide = np.array([[2.0**31 - 1, 0.0], [0.0, 2.0**30]])
+    assert 2**63 < (2**32 - 1) * (2**31 + 1) < 2**64
+    over = np.arange(1.0, 15.0).reshape(2, 7)
+    monkeypatch.setattr(_kernel, "_INTEGER_STATES", 64)
+    for a in (half, wide, over):
+        assert _kernel.integer_sum_counts(a) is None
+        count, rep, total = _kernel.modal_signed_sum(a, 0.5)
+        c, r, t = walked(monkeypatch, _kernel.modal_signed_sum, a, 0.5)
+        assert (count, rep.tobytes(), total) == (c, r.tobytes(), t)
+    assert _kernel.integer_sum_counts(at_2_53) is None
+    assert _zero_sum_probability(at_2_53[0], 1e-9) == 0.5
+    with pytest.raises(PreconditionError, match="too fine"):
+        _kernel.modal_signed_sum(at_2_53, 1e-9)
+    assert _kernel.integer_sum_counts(over[:1, :6]) is not None  # min(P, 2**6) = 64 states: taken
+
+
+def test_integer_claims_pass_the_walk_caps():
+    # n=32 against the meet-in-the-middle recount, n=62 against the
+    # binomial count; t the reducer declines still claims 0 past the cap
+    t = np.random.default_rng(32).integers(1, 4, size=32)
+    t[0] = 1
+    assert rank_one_orthogonal(32, t).claimed_score_lower_bound == zero_sum_recount(t) / 2**32
+    assert rank_one_orthogonal(62, np.ones(62)).claimed_score_lower_bound == math.comb(62, 31) / 2**62
+    # at n=63 a count could pass int64 (2**63 for zeros), so the reducer declines
+    assert rank_one_orthogonal(63, np.r_[np.ones(62), 2.0]).claimed_score_lower_bound == 0.0
+    assert concentration_probability(np.zeros(62)).count == 2**62
+    with pytest.raises(CapacityError):
+        concentration_probability(np.zeros(63))
+    assert rank_one_orthogonal(25, np.r_[1.0, np.full(24, 0.5)]).claimed_score_lower_bound == 0.0
+    # the modal count of the same t: meet in the middle over every sum
+    left, right = (collections.Counter(signed_sums(part).tolist()) for part in (t[:16], t[16:]))
+    counts = {s: sum(left[s - r] * k for r, k in right.items()) for s in range(-t.sum(), t.sum() + 1)}
+    best = max(counts.values())
+    rep = concentration_probability(t * 1.0)
+    assert (rep.count, rep.total, rep.mode.tolist()) == (best, 2**32, [min(s for s in counts if counts[s] == best)])
 
 
 def test_dense_hits_take_the_dense_walk():

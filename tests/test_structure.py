@@ -293,8 +293,12 @@ def test_concentration_scalar_weights_scale_invariance():
 
 
 def test_concentration_caps():
-    with pytest.raises(CapacityError):
-        concentration_probability(np.ones((1, 25)))
+    # the n cap bounds the walk: integer vectors that the exact reducer
+    # takes go past it, anything else is refused
+    with pytest.raises(CapacityError, match="capped at n=24.*integer"):
+        concentration_probability(np.full((1, 25), 0.5))
+    rep = concentration_probability(np.ones((1, 25)))
+    assert (rep.count, rep.total, rep.mode.tolist()) == (math.comb(25, 12), 1 << 25, [-1.0])
     with pytest.raises(CapacityError):
         concentration_probability(np.ones((65, 3)))
 
