@@ -25,8 +25,9 @@ vector of sums ``A @ x`` into one ``int64`` key and doubles the set of keys
 one coordinate at a time, which gives every distinct sum exactly, its count
 and its smallest bitmask.  :func:`modal_signed_sum` and the rank-one
 zero-sum count read their answers from it, and take the walk only where it
-declines: a non-integral entry, sums near ``2**53``, a key range past
-``int64`` or more than :data:`_INTEGER_STATES` states.
+declines: a non-integral entry, a row with ``sum_j |a_rj| >= 2**53``, a
+key range past ``int64``, ``n > 62`` or more than :data:`_INTEGER_STATES`
+states.
 
 Every Monte Carlo statistic over sign vectors runs through
 :func:`mc_sign_blocks`.  Samples come in blocks of :func:`mc_rows` rows,

@@ -88,7 +88,6 @@ def sum_path(request, monkeypatch):
         monkeypatch.setattr(_kernel, "iter_sign_blocks", _no_walk)
     else:
         monkeypatch.setattr(_kernel, "integer_sum_counts", lambda a: None)
-    return request.param
 
 
 def test_modal_sum_pinned_across_blocks(sum_path):
@@ -290,6 +289,11 @@ def test_integer_sums_match_the_walk(monkeypatch):
     big = np.array([[2**29, -3, 1, 2**29 - 5, 7], [1, 2**30, 0, -3, 3], [0, 0, 0, 0, 0]]) * 1.0
     assert 2**62 < math.prod(2 * int(s) + 1 for s in np.abs(big).sum(axis=1)) < 2**63
     assert_reducer_matches_the_walk(monkeypatch, big, 0.5)
+    # near 2.14e15 a 0.9 grid puts many pairs of integers 1 apart in one
+    # cell, but signed sums share the parity of S_r and are 2 apart at least
+    near = np.array([[2139209823000990.0, 1, 1, 3]])
+    assert np.round(near[0, 0] / 0.9) == np.round((near[0, 0] + 1) / 0.9)
+    assert_reducer_matches_the_walk(monkeypatch, near, 0.9)
 
 
 def test_declined_integer_sums_take_the_walk(monkeypatch):
@@ -310,7 +314,7 @@ def test_declined_integer_sums_take_the_walk(monkeypatch):
     assert _zero_sum_probability(at_2_53[0], 1e-9) == 0.5
     with pytest.raises(PreconditionError, match="too fine"):
         _kernel.modal_signed_sum(at_2_53, 1e-9)
-    assert _kernel.integer_sum_counts(over[:1, :6]) is not None  # min(P, 2**6) = 64 states: taken
+    assert _kernel.integer_sum_counts(over[:, :6]) is not None  # min(5461, 2**6) = 64 states: taken
 
 
 def test_integer_claims_pass_the_walk_caps():
