@@ -80,27 +80,31 @@ def _no_walk(*args, **kwargs):
     raise AssertionError("the integer reducer fell back to the walk")
 
 
-@pytest.fixture(params=["reducer", "walk"])
-def sum_path(request, monkeypatch):
+def each_sum_path(monkeypatch):
     """Integer signed sums forced through ``integer_sum_counts`` (the walk
-    raises) or past it (the reducer declines)."""
-    if request.param == "reducer":
-        monkeypatch.setattr(_kernel, "iter_sign_blocks", _no_walk)
-    else:
-        monkeypatch.setattr(_kernel, "integer_sum_counts", lambda a: None)
+    raises), then past it (the reducer declines); yields the path's name."""
+    for path in ("reducer", "walk"):
+        with monkeypatch.context() as patch:
+            if path == "reducer":
+                patch.setattr(_kernel, "iter_sign_blocks", _no_walk)
+            else:
+                patch.setattr(_kernel, "integer_sum_counts", lambda a: None)
+            yield path
 
 
-def test_modal_sum_pinned_across_blocks(sum_path):
+def test_modal_sum_pinned_across_blocks(monkeypatch):
     v = np.array([[1, 2, -1, 3, 0, 2, 1, -2, 1, 1, 3, -1, 2, 1],
                   [0, 1, 1, -1, 2, 0, 1, 1, -2, 1, 0, 1, 1, 2.0]])
-    rep = concentration_probability(v)
-    assert (rep.count, rep.total, rep.mode.tolist()) == (328, 16384, [-1.0, 0.0])
+    for path in each_sum_path(monkeypatch):
+        rep = concentration_probability(v)
+        assert (rep.count, rep.total, rep.mode.tolist()) == (328, 16384, [-1.0, 0.0]), path
 
 
-def test_modal_tie_breaks_to_smallest_key(sum_path):
+def test_modal_tie_breaks_to_smallest_key(monkeypatch):
     # +1 and -1 occur once each; the walk sees +1 first, the tie goes to -1
-    count, rep, total = _kernel.modal_signed_sum(np.array([[1.0]]), 1e-9)
-    assert (count, rep.tolist(), total) == (1, [-1.0], 2)
+    for path in each_sum_path(monkeypatch):
+        count, rep, total = _kernel.modal_signed_sum(np.array([[1.0]]), 1e-9)
+        assert (count, rep.tolist(), total) == (1, [-1.0], 2), path
 
 
 def test_modal_representative_is_first_visited_in_its_cell():
@@ -126,14 +130,15 @@ def test_group_tol_out_of_range_is_rejected(group_tol):
         concentration_probability(np.ones(3), group_tol)
 
 
-def test_grid_keys_must_stay_exact(sum_path):
+def test_grid_keys_must_stay_exact(monkeypatch):
     # 1e-300 would need keys near 1e300, far past int64 and 2**53
-    with pytest.raises(PreconditionError, match="too fine"):
-        concentration_probability(np.array([1.0, 1.0, 2.0]), 1e-300)
-    with pytest.raises(PreconditionError, match="too fine"):
-        _kernel.modal_signed_sum(np.array([[1e8, 1e8]]), 1e-9)
-    count, _, _ = _kernel.modal_signed_sum(np.array([[1e6, 1e6]]), 1e-9)
-    assert count == 2
+    for path in each_sum_path(monkeypatch):
+        with pytest.raises(PreconditionError, match="too fine"):
+            concentration_probability(np.array([1.0, 1.0, 2.0]), 1e-300)
+        with pytest.raises(PreconditionError, match="too fine"):
+            _kernel.modal_signed_sum(np.array([[1e8, 1e8]]), 1e-9)
+        count, _, _ = _kernel.modal_signed_sum(np.array([[1e6, 1e6]]), 1e-9)
+        assert count == 2, path
 
 
 @pytest.mark.parametrize("width", [1, 3])
