@@ -22,12 +22,12 @@ start of each run of equal rows.
 
 Integer-valued sums skip the walk: :func:`integer_sum_counts` packs each
 vector of sums ``A @ x`` into one ``int64`` key and doubles the set of keys
-one coordinate at a time, which gives every distinct sum exactly, its count
-and its smallest bitmask.  :func:`modal_signed_sum` and the rank-one
-zero-sum count read their answers from it, and take the walk only where it
-declines: a non-integral entry, a row with ``sum_j |a_rj| >= 2**53``, a
-key range past ``int64``, ``n > 62`` or more than :data:`_INTEGER_STATES`
-states.
+one coordinate at a time, which gives every distinct sum exactly and its
+count.  :func:`modal_signed_sum` and the rank-one zero-sum count read their
+answers from it, and take the walk only where it declines: a non-integral
+entry, a row with ``sum_j |a_rj| >= 2**53``, a key range past ``int64``,
+``n > 62`` or more than :data:`_INTEGER_STATES` states.  Past
+:data:`RHO_N_CAP` columns :func:`modal_signed_sum` does not walk.
 
 Every Monte Carlo statistic over sign vectors runs through
 :func:`mc_sign_blocks`.  Samples come in blocks of :func:`mc_rows` rows,
@@ -77,6 +77,10 @@ _FILTER_BATCH = 1 << 15
 #: States that :func:`integer_sum_counts` keeps at most, ``min(P, 2**n)``:
 #: a dense count per key, or one key per sign vector; beyond it the walk runs.
 _INTEGER_STATES = 1 << 20
+
+#: Columns up to which :func:`modal_signed_sum` walks the cube when the
+#: integer reducer declines.
+RHO_N_CAP = 24
 
 #: Sample rows generated per Monte Carlo block.
 MC_BLOCK = 1 << 16
@@ -321,24 +325,21 @@ def parity_product_sum(m: np.ndarray, *, half: bool = False, members: bool = Fal
     )
 
 
-def integer_sum_counts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+def integer_sum_counts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Every distinct value of ``A @ x`` over ``x`` in ``{-1,+1}^n``, exactly,
     for an integer-valued ``(d, n)`` array ``A``; ``None`` when it declines.
 
-    Returns ``(sums, counts, first)``: the distinct sums as a ``(k, d)``
-    ``int64`` array in lexicographic order, row 0 most significant, how many
-    ``x`` reach each, and the smallest bitmask reaching each (bit ``j`` set
-    means ``x_j = -1``).
+    Returns ``(sums, counts)``: the distinct sums as a ``(k, d)`` ``int64``
+    array in lexicographic order, row 0 most significant, and how many ``x``
+    reach each.
 
     A sum vector packs into one ``int64`` key: row ``r`` is offset by
     ``S_r = sum_j |a_rj|`` and has radix ``2 S_r + 1``, row 0 most
     significant, so key order is lexicographic order.  Starting from ``x =
-    1``, coordinate ``j`` doubles the states, in bitmask order: the old ones
-    and the old ones shifted by ``-2 packed(a_j)`` with bit ``j`` set.  When
-    the key range ``P`` is at most ``2**n`` the states are a dense count per
-    key, with the smallest bitmask reaching each.  Otherwise they are the
-    ``2**n`` keys themselves, entry ``k`` for bitmask ``k``, and one sort
-    groups them.
+    1``, coordinate ``j`` doubles the states: the old ones and the old ones
+    shifted by ``-2 packed(a_j)``.  When the key range ``P`` is at most
+    ``2**n`` the states are a dense count per key.  Otherwise they are the
+    ``2**n`` keys themselves, and one sort groups them.
 
     Declines non-integral entries, ``S_r >= 2**53`` (where float sums stop
     being exact), a ``P`` past ``int64``, ``n > 62`` (counts past
@@ -358,34 +359,28 @@ def integer_sum_counts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     start = (size - 1) // 2 + sum(step)  # the zero sum packs to (size - 1) // 2
     if size <= 1 << n:
         counts = np.zeros(size, np.int64)
-        first = np.zeros(size, np.int64)
         counts[start] = 1
-        for j, s in enumerate(step):
+        for s in step:
             # old key k + 2s moves to k; the shift stays inside [0, size)
             src, dst = (slice(2 * s, None), slice(None, size - 2 * s)) if s >= 0 else \
                        (slice(None, size + 2 * s), slice(-2 * s, None))
-            first[dst] = np.where(counts[dst] > 0, first[dst], first[src] | 1 << j)
             counts[dst] += counts[src]
         keys = np.flatnonzero(counts)
-        counts, first = counts[keys], first[keys]
+        counts = counts[keys]
     else:
         raw = np.array([start])
         for s in step:
-            raw = np.concatenate([raw, raw - 2 * s])  # entry k: the key of bitmask k
-        order = np.argsort(raw)
-        raw = raw[order]
-        starts = np.flatnonzero(np.r_[True, raw[1:] != raw[:-1]])
-        keys, counts, first = raw[starts], np.diff(starts, append=raw.size), np.minimum.reduceat(order, starts)
+            raw = np.concatenate([raw, raw - 2 * s])
+        keys, counts = np.unique(raw, return_counts=True)
     sums = np.empty((keys.size, d), np.int64)
     for r in reversed(range(d)):
         high = keys // radix[r]
         sums[:, r] = keys - high * radix[r] - span[r]
         keys = high
-    return sums, counts, first
+    return sums, counts
 
 
-def modal_signed_sum(a: np.ndarray, group_tol: float, walk_cap: int = ENUMERATION_CAP
-                     ) -> tuple[int, np.ndarray, int]:
+def modal_signed_sum(a: np.ndarray, group_tol: float) -> tuple[int, np.ndarray, int]:
     """Most frequent value of ``A @ x`` over ``x`` in ``{-1,+1}^m``.
 
     Values are grouped by rounding each coordinate to the ``group_tol`` grid,
@@ -398,23 +393,24 @@ def modal_signed_sum(a: np.ndarray, group_tol: float, walk_cap: int = ENUMERATIO
     takes it.  Every sum of ``+-a_rj`` has the parity of ``S_r``, so
     distinct sums differ by at least 2 in some row, and below ``2**53`` the
     grid quotient errs by at most 1/2: each grid cell holds one exact sum,
-    and the reducer's groups, counts, order and float images are the
-    walk's.  Otherwise the walk runs, refused with :class:`CapacityError`
-    past ``walk_cap`` columns: each block contributes its distinct keys,
-    their counts and their images of smallest bitmask; one stable
-    :func:`group_rows` over all blocks' keys, in block order, merges them.
+    which is its own representative, and the reducer's groups, counts,
+    order and float images are the walk's.  Otherwise the walk runs,
+    refused with :class:`CapacityError` past :data:`RHO_N_CAP` columns:
+    each block contributes its distinct keys, their counts and their images
+    of smallest bitmask; one stable :func:`group_rows` over all blocks'
+    keys, in block order, merges them.
     """
     group_tol = check_fraction(group_tol, "group_tol")
     found = integer_sum_counts(a)
     if found is not None:
-        sums, counts, _ = found
-        # raises where the walk's keys would: the largest |sum| of each row
-        grid_keys(np.abs(sums).max(axis=0).astype(float), group_tol)
+        sums, counts = found
+        # raises where the walk's keys would: row r's largest |sum| is S_r
+        grid_keys(np.abs(a).sum(axis=1), group_tol)
         best = int(np.argmax(counts))  # sums come sorted, so a tie goes to the smallest key
         return int(counts[best]), sums[best].astype(float), 1 << a.shape[1]
-    if a.shape[1] > walk_cap:
+    if a.shape[1] > RHO_N_CAP:
         raise CapacityError(
-            f"the walk over signed sums is capped at n={walk_cap}, got {a.shape[1]}; only integer"
+            f"the walk over signed sums is capped at n={RHO_N_CAP}, got {a.shape[1]}; only integer"
             f" entries whose exact sums fit {_INTEGER_STATES} states go beyond it"
         )
     blocks = []

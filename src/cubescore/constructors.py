@@ -238,7 +238,7 @@ def _zero_sum_probability(t: np.ndarray, tol: float) -> float:
     # rule is invariant under x -> -x) and 0.0, a valid but empty bound, beyond
     found = _kernel.integer_sum_counts(t[None, :])
     if found is not None:
-        sums, counts, _ = found
+        sums, counts = found
         return int(counts[np.abs(sums[:, 0]) <= tol].sum()) / (1 << t.size)
     if t.size > RANK_ONE_CLAIM_CAP:
         return 0.0

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernel
+from ._kernel import RHO_N_CAP
 from .core import (
     CapacityError,
     DEFAULT_TOLERANCES,
@@ -35,9 +36,9 @@ from .core import (
 from .constructors import GAP_RANK_CAP, GapDescriptor, integer_fit
 from .permanent import ryser_value
 
-#: Exhaustive concentration search caps; ``RHO_N_CAP`` bounds the walk,
-#: which integer vectors within the exact reducer's budget skip.
-RHO_N_CAP = 24
+#: Exhaustive concentration search cap on ``d``; ``RHO_N_CAP`` caps ``n``
+#: where the walk runs, which integer vectors within the exact reducer's
+#: budget skip.
 RHO_DIM_CAP = 64
 
 #: Largest n for which the stochastic certificate attaches an exact permanent.
@@ -378,7 +379,7 @@ def concentration_probability(
     d, n = arr.shape
     if d > RHO_DIM_CAP:
         raise CapacityError(f"ambient dimension is capped at {RHO_DIM_CAP}, got {d}")
-    count, mode, total = _kernel.modal_signed_sum(arr, group_tol, RHO_N_CAP)
+    count, mode, total = _kernel.modal_signed_sum(arr, group_tol)
     return ConcentrationReport(n, d, count, total, count / total, mode, float(group_tol))
 
 
