@@ -54,6 +54,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import os
 import threading
 from typing import Callable, Iterator
 
@@ -550,15 +551,19 @@ def map_blocks(fn: Callable[[int], object], nblocks: int, threads: int = 1) -> l
     With ``threads > 1`` blocks run on a thread pool, with OpenBLAS
     single-threaded for the pool's lifetime; because every block owns its
     Philox substream and results are reduced in block order, the thread
-    count never changes the outcome.  Each block runs in a copy of the
-    caller's context, so the caller's ``np.errstate`` holds there too.
+    count never changes the outcome.  ``threads`` is an upper bound: each
+    worker keeps its own scratch, so at most ``min(threads, nblocks, usable
+    CPUs)`` start.  Each block runs in a copy of the caller's context, so
+    the caller's ``np.errstate`` holds there too.
     """
     threads = check_int(threads, "threads", 1)
     if threads == 1 or nblocks <= 1:
         return [fn(i) for i in range(nblocks)]
     from concurrent.futures import ThreadPoolExecutor
 
-    with _single_threaded_blas(), ThreadPoolExecutor(max_workers=threads) as pool:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(threads, nblocks, cpus)
+    with _single_threaded_blas(), ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(contextvars.copy_context().run, fn, i) for i in range(nblocks)]
         return [f.result() for f in futures]
 

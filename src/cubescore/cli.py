@@ -215,6 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--pretty", action="store_true", help="render a human-readable table instead of JSON")
         return p
 
+    threads_help = "upper bound on worker threads, also capped by blocks and usable CPUs (never changes results)"
+
     p = add("score-exact", _cmd_score_exact, "exhaustive hypercube hit score")
     p.add_argument("--matrix", required=True, help="matrix file ('rows cols' header, one row per line)")
     p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCES.membership_tol,
@@ -225,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCES.membership_tol)
-    p.add_argument("--threads", type=int, default=1, help="worker threads (never changes results)")
+    p.add_argument("--threads", type=int, default=1, help=threads_help)
 
     p = add("threshold-score", _cmd_threshold_score, "probability the product of image coordinates clears a threshold")
     p.add_argument("--matrix", required=True)
@@ -233,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["exact", "mc"], default="exact")
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=threads_help)
 
     p = add("perm", _cmd_perm, "exact permanent")
     p.add_argument("--matrix", required=True)
@@ -244,13 +246,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["exact", "mc"], default="exact")
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=threads_help)
 
     p = add("bins", _cmd_bins, "balls-in-bins collision estimate of a column-stochastic permanent")
     p.add_argument("--matrix", required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=threads_help)
     p.add_argument("--stochastic-tol", type=float, default=1e-9)
 
     p = add("construct", _cmd_construct, "build a matrix from one of the certified families")

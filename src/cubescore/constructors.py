@@ -24,6 +24,7 @@ from .core import (
     CapacityError,
     DEFAULT_TOLERANCES,
     DegenerateGeneratorsError,
+    ENUMERATION_CAP,
     InternalCheckError,
     PreconditionError,
     antisymmetric_block,
@@ -45,10 +46,6 @@ GAP_SIZE_CAP = 10**6
 
 #: The GAP-perturbed constructor enumerates 2**(n-1) partial sums.
 GAP_PERTURBED_CAP = 25
-
-#: Above this n the rank-one constructor stops walking the cube for its
-#: exact bound: a ``t`` the integer reducer declines claims the trivial 0.
-RANK_ONE_CLAIM_CAP = 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,13 +231,13 @@ def selector_matrix(n: int, targets) -> ConstructionCertificate:
 
 def _zero_sum_probability(t: np.ndarray, tol: float) -> float:
     # fraction of sign vectors x with |t . x| <= tol: over the exact integer
-    # sums where the reducer takes t, else by the walk up to the cap (the
+    # sums where the reducer takes t, else by the walk wherever it runs (the
     # rule is invariant under x -> -x) and 0.0, a valid but empty bound, beyond
     found = _kernel.integer_sum_counts(t[None, :])
     if found is not None:
         sums, counts = found
         return int(counts[np.abs(sums[:, 0]) <= tol].sum()) / (1 << t.size)
-    if t.size > RANK_ONE_CLAIM_CAP:
+    if t.size > ENUMERATION_CAP:
         return 0.0
     hits, total, _ = _kernel.count_signs(t[None, :], _kernel.Window(0.0, tol))
     return hits / total
@@ -253,8 +250,8 @@ def rank_one_orthogonal(n: int, t) -> ConstructionCertificate:
     ``t`` are fixed by ``M``, so the score is at least the fraction of the
     hypercube with ``t . x = 0``.  That fraction is exact for integer ``t``
     up to ``n = 62`` (:func:`_kernel.integer_sum_counts`); any other ``t``
-    walks the cube up to ``n = 24`` and reports 0 beyond (still a valid
-    lower bound).
+    walks the cube up to ``ENUMERATION_CAP`` (``n = 30``) and reports 0
+    beyond (still a valid lower bound).
     The all-ones ``t`` gives the reflection ``I - (2/n) J``.
     """
     n = check_int(n, "n", 1)

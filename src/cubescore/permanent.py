@@ -7,7 +7,7 @@ expectation identity ``per(M) = E[prod_i x_i (Mx)_i]`` (exact enumeration or
 Monte Carlo), and a balls-in-bins collision experiment that estimates the
 permanent of a column-stochastic matrix as the probability that ``n`` balls,
 ball ``j`` landing in bin ``i`` with probability ``A[i, j]``, occupy ``n``
-distinct bins.
+distinct bins.  Both exact walks are capped only by the walk's ``n <= 30``.
 """
 
 from __future__ import annotations
@@ -19,11 +19,6 @@ import numpy as np
 
 from . import _kernel
 from .core import CapacityError, as_matrix, check_column_stochastic, check_int
-
-#: Cap on the exact expectation-identity walk.  Its half-cube walk costs less
-#: than Ryser's full walk at equal n, so this cap, below ``ENUMERATION_CAP``,
-#: is not a runtime limit.
-BERNOULLI_EXACT_CAP = 25
 
 #: Permutation-sum oracle cap (10! terms).
 NAIVE_CAP = 10
@@ -107,19 +102,15 @@ def bernoulli_permanent(
     """Permanent via the identity ``per(M) = E[prod_i x_i (Mx)_i]``.
 
     The expectation runs over uniform sign vectors ``x``.  Exact mode
-    enumerates them (``n <= 25``); the summand is invariant under
-    ``x -> -x``, so it walks the half with ``x_n = +1``, which is Glynn's
-    formula.  mc mode averages over samples and reports the empirical
-    standard error.
+    enumerates them (``n <= 30``, as for :func:`ryser_value`); the summand is
+    invariant under ``x -> -x``, so it walks the half with ``x_n = +1``,
+    which is Glynn's formula.  mc mode averages over samples and reports the
+    empirical standard error.
     """
     arr = as_matrix(m, square=True)
     n = arr.shape[0]
     draws = _kernel.check_mode(mode, samples, seed)
     if draws is None:
-        if n > BERNOULLI_EXACT_CAP:
-            raise CapacityError(
-                f"exact expectation enumeration is capped at n={BERNOULLI_EXACT_CAP}, got {n}"
-            )
         return PermanentReport(_kernel.parity_product_sum(arr, half=True) / (1 << (n - 1)), "bernoulli_exact")
     samples, seed = draws
 

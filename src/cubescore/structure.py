@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernel
-from ._kernel import RHO_N_CAP
 from .core import (
     CapacityError,
     DEFAULT_TOLERANCES,
@@ -36,7 +35,7 @@ from .core import (
 from .constructors import GAP_RANK_CAP, GapDescriptor, integer_fit
 from .permanent import ryser_value
 
-#: Exhaustive concentration search cap on ``d``; ``RHO_N_CAP`` caps ``n``
+#: Exhaustive concentration search cap on ``d``; ``_kernel.RHO_N_CAP`` caps ``n``
 #: where the walk runs, which integer vectors within the exact reducer's
 #: budget skip.
 RHO_DIM_CAP = 64

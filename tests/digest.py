@@ -9,10 +9,12 @@ Each windowed walk runs twice, forced through the sorted-window filter and
 forced past it.  The results are exact hit sets at two tolerances, exact
 and threshold counts, Ryser and Glynn permanents (as float hex), rank-one
 zero-sum claims and concentration counts and modes, on matrices of 1 to 26
-rows.  The last lines take integer inputs past the walk's caps: rank-one
-claims at n=26..40 and one-row concentration at n=26..32, where a checkout
-that refuses the input prints the hash of ``CapacityError``.  Not collected
-by pytest; it takes about ten seconds.
+rows.  The last lines take inputs past caps that a checkout may or may not
+have: integer rank-one claims at n=26..40 and one-row concentration at
+n=26..32, then non-integer rank-one claims at n=25..28 and Glynn's
+permanent of one Gaussian 26 x 26 matrix.  A checkout that refuses an input
+prints the hash of ``CapacityError``.  Not collected by pytest; it takes
+about fifteen seconds.
 """
 
 import contextlib
@@ -130,6 +132,23 @@ def past_the_caps():
             emit(f"rho-mode/int/d=1/n={n}", rep.mode)
 
 
+def walks_past_the_claim_caps():
+    for n in range(25, 29):
+        rng = np.random.default_rng(400 + n)
+        for name, t in (("halves", rng.choice([0.5, 1.0], size=n)), ("tenths", rng.integers(1, 10, size=n) / 10),
+                        ("normal", rng.normal(size=n))):
+            t[0] = 1.0
+            unit = {"halves": 2, "tenths": 10}.get(name)
+            if unit and round(t.sum() * unit) % 2:
+                t[-1] += 1 / unit  # an odd sum of units has no zero signed sum
+            emit(f"rank1/{name}/n={n}", rank_one_orthogonal(n, t).claimed_score_lower_bound.hex())
+    try:
+        value = bernoulli_permanent(np.random.default_rng(126).normal(size=(26, 26))).value.hex()
+    except CapacityError:
+        value = "CapacityError"
+    emit("glynn/normal/n=26", value)
+
+
 if __name__ == "__main__":
     hit_sets()
     threshold_counts()
@@ -137,3 +156,4 @@ if __name__ == "__main__":
     rank_one_claims()
     concentration()
     past_the_caps()
+    walks_past_the_claim_caps()

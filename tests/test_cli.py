@@ -521,6 +521,12 @@ GOLDEN_CASES = {
                                 "--gap-file", "{gap}", "--seed", "11", "--out", "{tmp}/gap.txt"],
     "analyze-rank-one": ["analyze", "--matrix", "{rank_one_residual}"],
     "rho-grid": ["rho", "--vectors-file", "{real_vectors}", "--group-tol", "0.05"],
+    "perm-bernoulli": ["perm-bernoulli", "--matrix", "{zero_one}"],
+    "perm-bernoulli-mc": ["perm-bernoulli", "--matrix", "{zero_one}", "--mode", "mc",
+                          "--samples", "70000", "--seed", "5"],
+    # a t the integer reducer declines, so its claim comes from the walk
+    "construct-rank1-walk": ["construct", "--family", "rank1", "--n", "4", "--t", "1,0.5,0.5,-1",
+                             "--out", "{tmp}/rank1.txt"],
 }
 
 

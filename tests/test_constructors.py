@@ -23,6 +23,7 @@ from cubescore.core import (
     PreconditionError,
     is_orthogonal,
     numeric_rank,
+    save_matrix,
 )
 from cubescore.score import exact_score
 
@@ -216,6 +217,21 @@ def test_gap_properness_detects_collisions():
     assert not gap.is_proper()
     singleton = GapDescriptor(np.array([[3.0]]), (0,), (5,))
     assert singleton.is_proper()
+
+
+def test_gap_perturbed_cap(capsys, tmp_path):
+    # 2**25 partial sums at n=26, refused before any draw, and the CLI exits 2
+    gap = GapDescriptor(np.ones((1, 26)), (-1,), (1,))
+    with pytest.raises(CapacityError, match="capped at n=25"):
+        gap_perturbed_selector(np.eye(26), gap, 11)
+    f0, gap_file = tmp_path / "f0.txt", tmp_path / "gap.json"
+    save_matrix(f0, np.eye(26))
+    gap_file.write_text(json.dumps(_json.to_jsonable(gap)))
+    code = main(["construct", "--family", "gap-perturbed", "--f0-file", str(f0), "--gap-file", str(gap_file),
+                 "--seed", "11", "--out", str(tmp_path / "m.txt")])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert json.loads(captured.err)["error"]["type"] == "CapacityError"
 
 
 def test_too_fine_group_tol_is_not_an_improper_gap():

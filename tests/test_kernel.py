@@ -3,8 +3,10 @@ modal signed sum, pinned to values they must keep bit for bit; and the Monte
 Carlo pool's single-threaded BLAS scope."""
 
 import collections
+import concurrent.futures
 import hashlib
 import math
+import os
 import sys
 import threading
 
@@ -321,7 +323,8 @@ def test_declined_integer_sums_take_the_walk(monkeypatch):
 
 def test_integer_claims_pass_the_walk_caps():
     # n=32 against the meet-in-the-middle recount, n=62 against the
-    # binomial count; t the reducer declines still claims 0 past the cap
+    # binomial count; t the reducer declines walks up to the walk's cap
+    # and claims 0 past it
     t = np.random.default_rng(32).integers(1, 4, size=32)
     t[0] = 1
     assert rank_one_orthogonal(32, t).claimed_score_lower_bound == zero_sum_recount(t) / 2**32
@@ -331,7 +334,15 @@ def test_integer_claims_pass_the_walk_caps():
     assert concentration_probability(np.zeros(62)).count == 2**62
     with pytest.raises(CapacityError):
         concentration_probability(np.zeros(63))
-    assert rank_one_orthogonal(25, np.r_[1.0, np.full(24, 0.5)]).claimed_score_lower_bound == 0.0
+    # dyadic t: every partial sum is exact, so the integer recount of 4 t is exact too
+    halves = np.r_[1.0, np.full(24, 0.5)]
+    claim = rank_one_orthogonal(25, halves).claimed_score_lower_bound
+    assert claim == 2 * math.comb(24, 11) / 2**25 == zero_sum_recount((4 * halves).astype(np.int64)) / 2**25
+    quarters = np.random.default_rng(27).choice([0.25, 0.5, 0.75, 1.0], size=26)
+    quarters[0] = 1.0
+    expected = zero_sum_recount((4 * quarters).astype(np.int64)) / 2**26
+    assert rank_one_orthogonal(26, quarters).claimed_score_lower_bound == expected > 0.0
+    assert rank_one_orthogonal(31, np.r_[1.0, np.full(30, 0.5)]).claimed_score_lower_bound == 0.0
     # the modal count of the same t: meet in the middle over every sum
     left, right = (collections.Counter(signed_sums(part).tolist()) for part in (t[:16], t[16:]))
     counts = {s: sum(left[s - r] * k for r, k in right.items()) for s in range(-t.sum(), t.sum() + 1)}
@@ -459,6 +470,32 @@ def test_a_thread_pool_runs_blas_single_threaded_and_restores_it(blas_threads):
     with pytest.raises(ValueError, match="block 2"):
         _kernel.map_blocks(fail, 4, threads=2)
     assert blas_threads() == 2
+
+
+def test_the_pool_starts_no_more_workers_than_blocks_or_cpus(monkeypatch):
+    # threads is an upper bound: each worker keeps its own scratch, so
+    # workers past the blocks or the usable CPUs would only add memory
+    started = []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    m = reflection(4)  # four blocks at 1 << 18 samples
+    expected = mc_score(m, 1 << 18, 3)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert mc_score(m, 1 << 18, 3, threads=2000) == expected
+    assert _kernel.map_blocks(lambda i: i, 2, threads=2000) == [0, 1]
+    assert _kernel.map_blocks(lambda i: i, 5, threads=2) == list(range(5))
+    # without sched_getaffinity the CPU count bounds the pool
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert _kernel.map_blocks(lambda i: i, 64, threads=2000) == list(range(64))
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _kernel.map_blocks(lambda i: i, 64, threads=2000) == list(range(64))
+    assert started == [3, 2, 2, 4, 1]
 
 
 def test_overlapping_scopes_restore_the_count_once(blas_threads):

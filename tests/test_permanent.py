@@ -107,8 +107,10 @@ def test_bernoulli_validation():
         bernoulli_permanent(np.eye(3), mode="joke")
     with pytest.raises(PreconditionError):
         bernoulli_permanent(np.eye(3), mode="mc", samples=100)
+    # the walk's own cap is the only one: n=26 runs, n=31 is refused
+    assert bernoulli_permanent(np.eye(26)).value == 1.0
     with pytest.raises(CapacityError):
-        bernoulli_permanent(np.eye(26))
+        bernoulli_permanent(np.eye(31))
 
 
 def test_naive_cap():
