@@ -135,13 +135,14 @@ def past_the_caps():
 def walks_past_the_claim_caps():
     for n in range(25, 29):
         rng = np.random.default_rng(400 + n)
-        for name, t in (("halves", rng.choice([0.5, 1.0], size=n)), ("tenths", rng.integers(1, 10, size=n) / 10),
-                        ("normal", rng.normal(size=n))):
-            t[0] = 1.0
-            unit = {"halves": 2, "tenths": 10}.get(name)
-            if unit and round(t.sum() * unit) % 2:
-                t[-1] += 1 / unit  # an odd sum of units has no zero signed sum
-            emit(f"rank1/{name}/n={n}", rank_one_orthogonal(n, t).claimed_score_lower_bound.hex())
+        for name, unit in (("halves", 2), ("tenths", 10)):
+            k = rng.integers(1, unit + 1, size=n)
+            k[0] = unit
+            k[-1] += k.sum() % 2  # an odd sum has no zero signed sum
+            emit(f"rank1/{name}/n={n}", rank_one_orthogonal(n, k / unit).claimed_score_lower_bound.hex())
+        t = rng.normal(size=n)
+        t[0] = 1.0
+        emit(f"rank1/normal/n={n}", rank_one_orthogonal(n, t).claimed_score_lower_bound.hex())
     try:
         value = bernoulli_permanent(np.random.default_rng(126).normal(size=(26, 26))).value.hex()
     except CapacityError:
