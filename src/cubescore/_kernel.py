@@ -60,7 +60,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .core import CapacityError, ENUMERATION_CAP, PreconditionError, check_fraction, check_int
+from .core import CapacityError, ENUMERATION_CAP, PreconditionError, check_fraction, check_int, check_seed
 
 #: Coordinates handled as one vectorized block in exhaustive walks.
 LOW_BITS = 12
@@ -542,7 +542,7 @@ def check_mode(mode: str, samples: int | None, seed: int | None) -> tuple[int, i
         raise PreconditionError(f"mode must be 'exact' or 'mc', got {mode!r}")
     if samples is None or seed is None:
         raise PreconditionError("mc mode requires both samples and seed")
-    return check_int(samples, "samples", 1), check_int(seed, "seed", 0)
+    return check_int(samples, "samples", 1), check_seed(seed)
 
 
 def map_blocks(fn: Callable[[int], object], nblocks: int, threads: int = 1) -> list:

@@ -23,16 +23,16 @@ from . import _kernel
 from .core import (
     CapacityError,
     DEFAULT_TOLERANCES,
-    DegenerateGeneratorsError,
     ENUMERATION_CAP,
     InternalCheckError,
     PreconditionError,
     antisymmetric_block,
     as_matrix,
     as_signs,
+    as_vector,
     check_fraction,
     check_int,
-    check_numbers,
+    check_seed,
     column_sign_pairs,
     is_orthogonal,
     numeric_rank,
@@ -63,7 +63,7 @@ class GapDescriptor:
     symmetric: bool = False
 
     def __post_init__(self):
-        g = as_matrix(check_numbers(self.generators, "generators"), name="generators")
+        g = as_matrix(self.generators, name="generators").copy()  # never the caller's array
         if g.shape[0] > GAP_RANK_CAP:
             raise CapacityError(f"GAP rank is capped at {GAP_RANK_CAP}, got {g.shape[0]}")
         object.__setattr__(self, "generators", g)
@@ -132,31 +132,6 @@ class GapDescriptor:
             return cls(d["generators"], d["lower"], d["upper"], d.get("symmetric", False))
         except KeyError as e:
             raise PreconditionError(f"GAP description is missing field {e.args[0]!r}") from None
-
-
-def gap_membership(v, gap: GapDescriptor, tol: float = DEFAULT_TOLERANCES.membership_tol):
-    """Integer coefficients expressing ``v`` as a GAP element, or ``None``.
-
-    Solves the real least-squares problem against the generators, rounds to
-    integers, and accepts only when the rounded combination reproduces ``v``
-    within ``tol`` (max norm) and the coefficients respect the bounds.
-    Raises :class:`DegenerateGeneratorsError` when the generators are
-    numerically rank-deficient.
-    """
-    vec = np.asarray(v, dtype=float)
-    if vec.ndim != 1 or vec.size != gap.ambient_dim:
-        raise PreconditionError(f"v must be 1-D of length {gap.ambient_dim}, got shape {vec.shape}")
-    g = gap.generators.T  # (ambient_dim, rank)
-    if numeric_rank(g) < gap.rank:
-        raise DegenerateGeneratorsError("GAP generators are numerically rank-deficient")
-    rounded, error = integer_fit(g, vec)
-    if error > tol:
-        return None
-    lo = np.asarray(gap.lower, dtype=np.int64)
-    up = np.asarray(gap.upper, dtype=np.int64)
-    if np.any(rounded < lo) or np.any(rounded > up):
-        return None
-    return tuple(int(k) for k in rounded)
 
 
 def integer_fit(basis: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
@@ -255,11 +230,7 @@ def rank_one_orthogonal(n: int, t) -> ConstructionCertificate:
     The all-ones ``t`` gives the reflection ``I - (2/n) J``.
     """
     n = check_int(n, "n", 1)
-    tv = check_numbers(t, "t")
-    if tv.shape != (n,):
-        raise PreconditionError(f"t must have length {n}, got shape {tv.shape}")
-    if not np.all(np.isfinite(tv)):
-        raise PreconditionError("t contains non-finite entries")
+    tv = as_vector(t, "t", n)
     if tv[0] != 1.0:
         raise PreconditionError(f"t[0] must equal 1, got {tv[0]!r}")
     norm_sq = float(tv @ tv)
@@ -352,7 +323,7 @@ def gap_perturbed_selector(
     group_tol = check_fraction(group_tol, "group_tol")
     if not gap.is_proper(group_tol):
         raise PreconditionError("GAP is improper: distinct coefficients collide")
-    seed = check_int(seed, "seed", 0)
+    seed = check_seed(seed)
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     coeffs = gap.sample_coefficients(rng, n - 1)

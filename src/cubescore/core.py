@@ -36,10 +36,6 @@ class PreconditionError(CubescoreError):
     """An input violates a documented precondition of the operation."""
 
 
-class DegenerateGeneratorsError(PreconditionError):
-    """Lattice generators are numerically rank-deficient."""
-
-
 class InternalCheckError(CubescoreError):
     """An internal consistency check failed; this signals a bug, not bad input."""
 
@@ -98,8 +94,14 @@ def _is_number(value) -> bool:
 
 def check_numbers(values, name: str) -> np.ndarray:
     """``values`` as a float64 array, every entry a number: not a bool, a
-    string or a nested sequence of another shape."""
-    arr = np.asarray(values, dtype=object)  # keeps each entry's own type
+    complex value, a string or a nested sequence of another shape.  An
+    integer or float ndarray is converted whole, a float64 one not copied."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        return np.asarray(values, dtype=np.float64)
+    try:
+        arr = np.asarray(values, dtype=object)  # keeps each entry's own type
+    except ValueError:  # sequences numpy cannot even hold as objects
+        raise PreconditionError(f"{name} must be a regular array of numbers") from None
     for v in arr.flat:
         if not _is_number(v):
             raise PreconditionError(f"every entry of {name} must be a number, got {v!r}")
@@ -115,19 +117,43 @@ def check_int(value, name: str, minimum: int | None) -> int:
     return int(value)
 
 
-def as_signs(values, name: str, n: int | None = None) -> np.ndarray:
-    """``values`` as a float64 vector whose entries are each exactly +1 or -1.
+def check_seed(value) -> int:
+    """``value`` as a Philox key: an integer in ``[0, 2**128)``, not a bool."""
+    if not (_is_int(value) and 0 <= int(value) < 1 << 128):
+        raise PreconditionError(f"seed must be an integer in [0, 2**128), got {value!r}")
+    return int(value)
 
-    An entry must be a number equal to +-1; a bool is not a sign.  With
-    ``n`` the vector must have length ``n`` (:class:`PreconditionError`),
-    otherwise it must be nonempty and 1-D (:class:`ShapeError`).
-    """
-    arr = np.asarray(values, dtype=object)  # keeps each entry's own type
+
+def _check_vector_shape(arr: np.ndarray, name: str, n: int | None) -> None:
+    # with n the vector must have length n, otherwise be nonempty and 1-D
     if n is not None:
         if arr.shape != (n,):
             raise PreconditionError(f"{name} must have length {n}, got shape {arr.shape}")
     elif arr.ndim != 1 or arr.size == 0:
         raise ShapeError(f"{name} must be a nonempty 1-D sequence, got shape {arr.shape}")
+
+
+def as_vector(values, name: str, n: int | None = None) -> np.ndarray:
+    """``values`` as a finite float64 vector of numbers (:func:`check_numbers`).
+
+    With ``n`` the vector must have length ``n`` (:class:`PreconditionError`),
+    otherwise it must be nonempty and 1-D (:class:`ShapeError`).
+    """
+    arr = check_numbers(values, name)
+    _check_vector_shape(arr, name, n)
+    if not np.all(np.isfinite(arr)):
+        raise PreconditionError(f"{name} contains non-finite entries")
+    return arr
+
+
+def as_signs(values, name: str, n: int | None = None) -> np.ndarray:
+    """``values`` as a float64 vector whose entries are each exactly +1 or -1.
+
+    An entry must be a number equal to +-1; a bool is not a sign.  The shape
+    rule is :func:`as_vector`'s.
+    """
+    arr = np.asarray(values, dtype=object)  # keeps each entry's own type
+    _check_vector_shape(arr, name, n)
     for v in arr:
         if not (_is_number(v) and abs(v) == 1):
             raise PreconditionError(f"every entry of {name} must be exactly +1 or -1, got {v!r}")
@@ -194,8 +220,8 @@ class SignVector:
 
 
 def as_matrix(a, *, square: bool = False, name: str = "matrix") -> np.ndarray:
-    """Validate and return ``a`` as a finite 2-D float64 array."""
-    arr = np.asarray(a, dtype=np.float64)
+    """``a`` as a finite 2-D float64 array of numbers (:func:`check_numbers`)."""
+    arr = check_numbers(a, name)
     if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
         raise ShapeError(f"{name} must be 2-D with positive dimensions, got shape {arr.shape}")
     if square and arr.shape[0] != arr.shape[1]:
@@ -208,6 +234,7 @@ def as_matrix(a, *, square: bool = False, name: str = "matrix") -> np.ndarray:
 def is_orthogonal(m, tol: float = 1e-9) -> bool:
     """True when ``M.T @ M`` is within ``tol`` (max-norm) of the identity."""
     arr = as_matrix(m, square=True)
+    tol = check_fraction(tol, "tol")
     gram = arr.T @ arr
     return float(np.max(np.abs(gram - np.eye(arr.shape[0])))) <= tol
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernel
-from .core import CapacityError, as_matrix, check_column_stochastic, check_int
+from .core import CapacityError, as_matrix, check_column_stochastic
 
 #: Permutation-sum oracle cap (10! terms).
 NAIVE_CAP = 10
@@ -147,8 +147,7 @@ def balls_in_bins_estimate(
     picks the slot and whose fraction is the slot's coin.
     """
     arr = check_column_stochastic(as_matrix(a, square=True), stochastic_tol)
-    samples = check_int(samples, "samples", 1)
-    seed = check_int(seed, "seed", 0)
+    samples, seed = _kernel.check_mode("mc", samples, seed)
     n = arr.shape[0]
     prob, alias = _alias_tables(arr)
     # Each sample marks its balls' bins in a bitmask of ceil(n/64) words.

@@ -23,6 +23,7 @@ from .core import (
     PreconditionError,
     antisymmetric_block,
     as_matrix,
+    as_vector,
     check_column_stochastic,
     check_fraction,
     check_int,
@@ -292,11 +293,7 @@ def classify_row(row) -> RowClass:
 
     Exactly one class applies to every nonnegative row.
     """
-    r = np.asarray(row, dtype=float)
-    if r.ndim != 1 or r.size == 0:
-        raise PreconditionError("row must be a nonempty 1-D array")
-    if not np.all(np.isfinite(r)):
-        raise PreconditionError("row contains non-finite entries")
+    r = as_vector(row, "row")
     if np.min(r) < -1e-12:
         raise PreconditionError(f"row entries must be nonnegative, found {np.min(r)!r}")
     r = np.clip(r, 0.0, None)
@@ -323,8 +320,8 @@ def classify_row(row) -> RowClass:
 def collision_probability_bounds(little_count: int, splittable_count: int) -> tuple[float, float]:
     """Martingale collision bounds driven by the little / splittable rows:
     ``exp(-L/200)`` and ``exp(-S/25000)``."""
-    if little_count < 0 or splittable_count < 0:
-        raise PreconditionError("row counts must be nonnegative")
+    little_count = check_int(little_count, "little_count", 0)
+    splittable_count = check_int(splittable_count, "splittable_count", 0)
     return math.exp(-little_count / 200.0), math.exp(-splittable_count / 25000.0)
 
 
@@ -365,15 +362,11 @@ def concentration_probability(
     vectors are integers whose exact sums :func:`_kernel.integer_sum_counts`
     takes.
     """
-    if isinstance(vectors, (list, tuple)):
-        cols = [check_numbers(v, "vectors").reshape(-1) for v in vectors]
-        if any(c.size != cols[0].size for c in cols):
-            raise PreconditionError("all vectors must share the same length")
-        arr = np.stack(cols, axis=1)
-    else:
-        arr = check_numbers(vectors, "vectors")
-        if arr.ndim == 1:
-            arr = arr[None, :]
+    arr = check_numbers(vectors, "vectors")
+    if arr.ndim == 1:
+        arr = arr[None, :]
+    elif isinstance(vectors, (list, tuple)):
+        arr = arr.T
     arr = as_matrix(arr, name="vectors")
     d, n = arr.shape
     if d > RHO_DIM_CAP:
@@ -434,11 +427,9 @@ def trace_bound_check(
     within ``psd_tol`` slack.
     """
     psd_tol = check_fraction(psd_tol, "psd_tol")
-    e = np.asarray(e_diag, dtype=float)
-    if e.ndim != 1 or e.size == 0:
-        raise PreconditionError("e_diag must be a nonempty 1-D array")
-    if not np.all(np.isfinite(e)) or np.min(e) <= 0.0:
-        raise PreconditionError("e_diag entries must be positive and finite")
+    e = as_vector(e_diag, "e_diag")
+    if np.min(e) <= 0.0:
+        raise PreconditionError("e_diag entries must be positive")
     r = e.size
     bb = antisymmetric_block(b, r, "b")
     trace = float(np.trace(np.linalg.inv(np.eye(r) + np.diag(e) - bb)))
@@ -483,6 +474,7 @@ def hamming_check(x, y, tol: float = 1e-9) -> HammingCheck:
     ys = sign_matrix_from_rows([y])[0]
     if xs.size != ys.size:
         raise PreconditionError("x and y must share the same length")
+    tol = check_fraction(tol, "tol")
     hamming = int(np.count_nonzero(xs != ys))
     quarter = float(((xs - ys) ** 2).sum() / 4.0)
     return HammingCheck(xs.size, hamming, quarter, abs(quarter - hamming) <= tol)

@@ -260,6 +260,17 @@ def test_precondition_failure_exits_two(capsys, reflected4):
     assert payload["error"]["type"] == "PreconditionError"
 
 
+@pytest.mark.parametrize("seed, code", [(2**128, 2), (2**128 - 1, 0)])
+def test_a_seed_must_lie_below_2_128(capsys, reflected4, seed, code):
+    # a Philox key of 2**128 or more was a bare ValueError, an exit 1
+    got, out, err = run_cli(capsys, "score-mc", "--matrix", reflected4, "--samples", "1000", "--seed", str(seed))
+    assert got == code, err
+    if code:
+        assert json.loads(err)["error"]["type"] == "PreconditionError"
+    else:
+        assert json.loads(out)["seed"] == seed
+
+
 def test_capacity_failure_exits_two(capsys, tmp_path):
     path = tmp_path / "big.txt"
     save_matrix(path, np.eye(31))

@@ -25,11 +25,14 @@ from cubescore.core import (
     save_matrix,
     sign_matrix_from_rows,
 )
-from cubescore.permanent import balls_in_bins_estimate, bernoulli_permanent
+from cubescore.permanent import balls_in_bins_estimate, bernoulli_permanent, ryser_value
 from cubescore.score import exact_score, mc_score, product_statistic, threshold_score
 from cubescore.structure import (
     SparseSignMatrix,
+    classify_row,
+    collision_probability_bounds,
     concentration_probability,
+    decompose,
     dominance_analysis,
     hamming_check,
     procrustes_fit,
@@ -79,6 +82,19 @@ def test_as_matrix_validation():
         as_matrix(np.zeros((2, 3)), square=True)
     with pytest.raises(PreconditionError):
         as_matrix([[np.inf, 0.0], [0.0, 1.0]])
+
+
+def test_as_matrix_keeps_a_float_array():
+    a = np.zeros((3, 2))
+    assert as_matrix(a) is a
+    assert as_matrix(np.arange(4).reshape(2, 2)).dtype == np.float64
+
+
+def test_gap_descriptor_keeps_its_own_generators():
+    g = np.ones((1, 4))
+    gap = GapDescriptor(g, (-1,), (1,))
+    g[0, 0] = 5.0
+    assert gap.generators[0, 0] == 1.0
 
 
 def test_is_orthogonal_accepts_signed_permutations(rng):
@@ -212,11 +228,11 @@ def _rejection_cases():
     for name, call in mc_entry_points.items():
         for flag, bad in [("seed", -1), ("seed", 1.5), ("seed", True),
                           ("samples", 0), ("samples", 2.5), ("samples", True),
-                          ("threads", 0), ("threads", 1.0), ("threads", True)]:
+                          ("seed", 2**128), ("threads", 0), ("threads", 1.0), ("threads", True)]:
             args = {"samples": 100, "seed": 1, "threads": 1, flag: bad}
             cases.append((f"{name}-{flag}={bad!r}", lambda call=call, args=args: call(**args),
                           PreconditionError))
-    for bad in (-1, 1.5, True):
+    for bad in (-1, 1.5, True, 2**128):
         cases.append((f"gap_perturbed-seed={bad!r}", lambda bad=bad: gap_perturbed_selector(np.eye(4), gap, bad),
                       PreconditionError))
     signs = {
@@ -285,7 +301,42 @@ def _rejection_cases():
         ("concentration-vector-list-bool", lambda: concentration_probability([[1, 2], [True, 1]]),
          PreconditionError),
     ]
+    matrices = {
+        "exact_score": exact_score,
+        "ryser_value": ryser_value,
+        "decompose": decompose,
+        "rank_r_d": lambda m: rank_r_orthogonal(len(m) + 2, m),
+    }
+    for name, call in matrices.items():
+        for label, bad in [("bools", [[True, False], [False, True]]), ("strings", [["1", "0"], ["0", "1"]]),
+                           ("complex", [[1 + 1j, 0], [0, 1]]), ("ragged", [[1, 0], [0]])]:
+            cases.append((f"{name}-matrix-{label}", lambda call=call, bad=bad: call(bad), PreconditionError))
+    vectors = {
+        "classify_row": classify_row,
+        "trace_bound_e_diag": trace_bound_check,
+    }
+    for name, call in vectors.items():
+        for label, bad in [("bools", [True, True]), ("strings", ["0.5", "0.5"]), ("nan", [0.5, float("nan")])]:
+            cases.append((f"{name}-vector-{label}", lambda call=call, bad=bad: call(bad), PreconditionError))
+    for bad in ("0.1", float("nan"), 0.0):
+        cases.append((f"hamming_check-tol={bad!r}", lambda bad=bad: hamming_check([1, 1], [1, 1], bad),
+                      PreconditionError))
+        cases.append((f"is_orthogonal-tol={bad!r}", lambda bad=bad: is_orthogonal(eye, bad), PreconditionError))
+    for bad in (1.5, True, "1"):
+        cases.append((f"collision_bounds-little={bad!r}", lambda bad=bad: collision_probability_bounds(bad, 0),
+                      PreconditionError))
+        cases.append((f"collision_bounds-splittable={bad!r}",
+                      lambda bad=bad: collision_probability_bounds(0, bad), PreconditionError))
     return cases
+
+
+def test_seeds_below_2_128_run():
+    seed, gap = 2**128 - 1, GapDescriptor(np.ones((1, 4)), (-1,), (1,))
+    assert mc_score(np.eye(2), 100, seed).hit_count == 100
+    assert bernoulli_permanent(np.eye(2), "mc", 100, seed).samples == 100
+    assert balls_in_bins_estimate(np.eye(2), 100, seed).value == 1.0
+    assert threshold_score(np.eye(2), 0.5, "mc", 100, seed).hit_count == 100
+    assert gap_perturbed_selector(np.eye(4), gap, seed).parameters["seed"] == seed
 
 
 @pytest.mark.parametrize("call, error", [pytest.param(c, e, id=label) for label, c, e in _rejection_cases()])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cubescore.constructors import perm_reflection, rank_one_orthogonal, rank_r_orthogonal
-from cubescore.core import CapacityError, PreconditionError, SignVector
+from cubescore.core import CapacityError, PreconditionError, ShapeError, SignVector
 from cubescore.permanent import ryser_value
 from cubescore.structure import (
     SparseSignMatrix,
@@ -191,7 +191,7 @@ def test_classify_row_witnesses_are_valid(rng):
 def test_classify_row_validation():
     with pytest.raises(PreconditionError):
         classify_row([0.5, -0.2])
-    with pytest.raises(PreconditionError):
+    with pytest.raises(ShapeError):
         classify_row([[0.5]])
     with pytest.raises(PreconditionError):
         classify_row([np.nan])
