@@ -226,9 +226,9 @@ def _rejection_cases():
     }
     cases = []
     for name, call in mc_entry_points.items():
-        for flag, bad in [("seed", -1), ("seed", 1.5), ("seed", True),
+        for flag, bad in [("seed", -1), ("seed", 1.5), ("seed", True), ("seed", 2**128),
                           ("samples", 0), ("samples", 2.5), ("samples", True),
-                          ("seed", 2**128), ("threads", 0), ("threads", 1.0), ("threads", True)]:
+                          ("threads", 0), ("threads", 1.0), ("threads", True)]:
             args = {"samples": 100, "seed": 1, "threads": 1, flag: bad}
             cases.append((f"{name}-{flag}={bad!r}", lambda call=call, args=args: call(**args),
                           PreconditionError))
@@ -309,7 +309,8 @@ def _rejection_cases():
     }
     for name, call in matrices.items():
         for label, bad in [("bools", [[True, False], [False, True]]), ("strings", [["1", "0"], ["0", "1"]]),
-                           ("complex", [[1 + 1j, 0], [0, 1]]), ("ragged", [[1, 0], [0]])]:
+                           ("complex", [[1 + 1j, 0], [0, 1]]), ("ragged", [[1, 0], [0]]),
+                           ("ragged-arrays", [np.zeros((2, 2)), np.zeros((2, 3))])]:
             cases.append((f"{name}-matrix-{label}", lambda call=call, bad=bad: call(bad), PreconditionError))
     vectors = {
         "classify_row": classify_row,
