@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import cubescore
+from cubescore import _json
 from cubescore.cli import build_parser, main
 from cubescore.constructors import rank_r_orthogonal
 from cubescore.core import save_matrix
@@ -18,6 +19,7 @@ SCHEMA_PATH = Path(cubescore.__file__).parent / "schemas" / "command_result.sche
 VALIDATOR = jsonschema.Draft7Validator(json.loads(SCHEMA_PATH.read_text()))
 
 WALL_TIME = re.compile(r'"wall_time_ms":[0-9eE+.\-]+')
+PRETTY_WALL_TIME = re.compile(r"^wall_time_ms: .*$", re.M)
 
 
 def run_cli(capsys, *argv):
@@ -498,6 +500,54 @@ def test_unrenderable_output_is_a_json_error(capsys, tmp_path):
     assert json.loads(err)["command"] == "construct"
 
 
+# label -> (argv with {file} placeholders, error type); each input is refused
+# before any work is done
+REFUSED_CASES = {
+    "comma-list-not-a-number": (
+        ["construct", "--family", "perm", "--n", "2", "--pi", "0,x", "--signs", "1,1", "--out", "{out}"],
+        "PreconditionError"),
+    "gap-file-not-json": (
+        ["construct", "--family", "gap-perturbed", "--f0-file", "{f0}", "--gap-file", "{not_json}",
+         "--seed", "1", "--out", "{out}"], "PreconditionError"),
+    "gap-file-not-an-object": (
+        ["construct", "--family", "gap-perturbed", "--f0-file", "{f0}", "--gap-file", "{json_list}",
+         "--seed", "1", "--out", "{out}"], "PreconditionError"),
+    "selector-lengths-differ": (
+        ["construct", "--family", "selector", "--n", "2", "--columns", "0,1", "--signs", "1",
+         "--out", "{out}"], "PreconditionError"),
+    "rankr-n-conflicts-with-d": (
+        ["construct", "--family", "rankr", "--d-file", "{d}", "--n", "9", "--out", "{out}"],
+        "PreconditionError"),
+    "fit-map-shapes-differ": (["fit-map", "--x-file", "{x}", "--y-file", "{d}"], "PreconditionError"),
+    "header-not-integers": (["score-exact", "--matrix", "{header_text}"], "ParseError"),
+    "header-not-positive": (["score-exact", "--matrix", "{header_zero}"], "ParseError"),
+}
+
+
+@pytest.mark.parametrize("label", list(REFUSED_CASES))
+def test_refused_inputs_exit_two(capsys, cli_files, label):
+    extra = {"not_json": "{not json", "json_list": "[1]", "header_text": "a 2\n1 2\n",
+             "header_zero": "0 2\n"}
+    for name, text in extra.items():
+        cli_files[name] = cli_files["out"] + f".{name}"
+        Path(cli_files[name]).write_text(text)
+    argv, error = REFUSED_CASES[label]
+    code, out, err = run_cli(capsys, *(a.format(**cli_files) for a in argv))
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["type"] == error
+
+
+def test_json_rendering_rules():
+    # numpy scalars become plain values; a non-string key or an unknown
+    # type cannot be rendered
+    assert type(_json.to_jsonable(np.int64(3))) is int
+    assert _json.dumps([np.int64(3), np.bool_(True), np.float64(0.5)]) == "[3,true,0.5]"
+    with pytest.raises(ValueError, match="keys must be strings"):
+        _json.dumps({1: 2})
+    with pytest.raises(ValueError, match="type object"):
+        _json.dumps(object())
+
+
 def test_importing_the_cli_leaves_the_thread_pool_unloaded():
     # only a threaded Monte Carlo call needs concurrent.futures
     code = "import sys, cubescore.cli\nprint('concurrent.futures' in sys.modules)\n"
@@ -538,6 +588,16 @@ GOLDEN_CASES = {
     # a t the integer reducer declines, so its claim comes from the walk
     "construct-rank1-walk": ["construct", "--family", "rank1", "--n", "4", "--t", "1,0.5,0.5,-1",
                              "--out", "{tmp}/rank1.txt"],
+    "bins": ["bins", "--matrix", "{quarters}", "--samples", "70000", "--seed", "4"],
+    # u = -2 / (1 + |d|^2) = -0.5 exactly, so the identity residual is 0
+    "verify-rankr": ["verify-rankr", "--u-file", "{u_half}", "--d-file", "{ones31}"],
+    "trace-claim": ["trace-claim", "--e", "1,1"],
+    "trace-claim-b": ["trace-claim", "--e", "1,1", "--b-file", "{antisym}"],
+    # the whole cube and its signed-permutation image fit to an exact 0/+-1 matrix
+    "fit-map": ["fit-map", "--x-file", "{cube3}", "--y-file", "{cube3_image}"],
+    "construct-rankr": ["construct", "--family", "rankr", "--d-file", "{ones31}", "--out", "{tmp}/rankr.txt"],
+    "construct-rankr-pretty": ["construct", "--family", "rankr", "--d-file", "{ones31}",
+                               "--out", "{tmp}/rankr.txt", "--pretty"],
 }
 
 
@@ -547,6 +607,7 @@ def golden_files(tmp_path):
     perm4[[1, 3, 0, 2], np.arange(4)] = 1.0
     signed = np.zeros((5, 5))
     signed[[2, 0, 4, 1, 3], np.arange(5)] = [1.0, -1.0, -1.0, 1.0, -1.0]
+    cube3 = 1.0 - 2.0 * ((np.arange(8)[:, None] >> np.arange(3)) & 1)
     matrices = {
         "signed_perm": signed,
         "zero_one": np.array([[1, 1, 1, 0], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1]], dtype=float),
@@ -558,6 +619,13 @@ def golden_files(tmp_path):
         "rank_one_residual": signed + np.outer([1, -1, 0, 1, 1], [1, 0, -1, 1, -1]) / 8.0,
         "real_vectors": np.array([[0.1, 0.21, 0.31, 0.09, 0.2, 0.11, 0.4, 0.3],
                                   [0.2, 0.1, 0.1, 0.21, -0.1, 0.09, 0.2, 0.0]]),
+        "quarters": np.array([[0.5, 0.25, 0, 0.25], [0.25, 0.5, 0.25, 0], [0, 0.25, 0.5, 0.25],
+                              [0.25, 0, 0.25, 0.5]]),
+        "u_half": np.array([[-0.5]]),
+        "ones31": np.ones((3, 1)),
+        "antisym": np.array([[0.0, 2.0], [-2.0, 0.0]]),
+        "cube3": cube3,
+        "cube3_image": cube3 @ np.array([[0.0, 0, 1], [-1, 0, 0], [0, 1, 0]]).T,
     }
     files = {"tmp": str(tmp_path)}
     for name, m in matrices.items():
@@ -570,9 +638,17 @@ def golden_files(tmp_path):
     return files
 
 
+def test_recorded_bytes_cover_every_subcommand():
+    commands = next(a.choices for a in build_parser()._actions if a.dest == "command")
+    assert sorted({argv[0] for argv in GOLDEN_CASES.values()}) == sorted(commands)
+
+
 @pytest.mark.parametrize("label", list(GOLDEN_CASES))
 def test_stdout_matches_the_recorded_bytes(capsys, golden_files, label):
-    code, out, err = run_cli(capsys, *(a.format(**golden_files) for a in GOLDEN_CASES[label]))
+    argv = GOLDEN_CASES[label]
+    code, out, err = run_cli(capsys, *(a.format(**golden_files) for a in argv))
     assert (code, err) == (0, "")
     masked = WALL_TIME.sub('"wall_time_ms":0', out).replace(golden_files["tmp"], "{tmp}")
-    assert masked == (GOLDEN_DIR / f"{label}.json").read_text(encoding="ascii")
+    masked = PRETTY_WALL_TIME.sub("wall_time_ms: 0", masked)
+    suffix = ".txt" if "--pretty" in argv else ".json"
+    assert masked == (GOLDEN_DIR / f"{label}{suffix}").read_text(encoding="ascii")

@@ -256,6 +256,11 @@ def _rejection_cases():
         ("hamming_check-length", lambda: hamming_check([1, 1], [1, 1, 1]), PreconditionError),
         ("from_components-empty", lambda: SignVector.from_components([]), ShapeError),
         ("from_components-2d", lambda: SignVector.from_components([[1, 1]]), ShapeError),
+        ("sign_matrix_from_rows-empty", lambda: sign_matrix_from_rows([]), ShapeError),
+        ("perm_reflection-pi-length", lambda: perm_reflection(2, [0, 1, 2], [1, 1]), PreconditionError),
+        ("rank_r_d-columns", lambda: rank_r_orthogonal(2, np.ones((1, 2))), PreconditionError),
+        ("gap-size-cap", lambda: GapDescriptor(np.ones((1, 4)), (-10**6,), (10**6,)).is_proper(),
+         CapacityError),
     ]
     not_stochastic = [np.ones((2, 2)), np.array([[1.5, 0.0], [-0.5, 1.0]])]
     for k, a in enumerate(not_stochastic):
