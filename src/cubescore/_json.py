@@ -19,8 +19,8 @@ def to_jsonable(x):
     """Recursively convert a value into plain Python values.
 
     Numpy scalars and arrays become numbers and lists, tuples become lists,
-    an object with a ``to_dict`` method renders through it, and any other
-    dataclass becomes ``{field: value}`` over its fields in declaration order.
+    and a dataclass becomes ``{field: value}`` over its fields in declaration
+    order.
     """
     if isinstance(x, np.ndarray):
         return [to_jsonable(v) for v in x.tolist()]
@@ -30,8 +30,6 @@ def to_jsonable(x):
         return {k: to_jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [to_jsonable(v) for v in x]
-    if hasattr(x, "to_dict"):
-        return to_jsonable(x.to_dict())
     if dataclasses.is_dataclass(x):
         return {f.name: to_jsonable(getattr(x, f.name)) for f in dataclasses.fields(x)}
     return x

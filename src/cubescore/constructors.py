@@ -15,6 +15,7 @@ parameters that produced it.  Families:
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,7 @@ from .core import (
     PreconditionError,
     antisymmetric_block,
     as_matrix,
+    as_sequence,
     as_signs,
     as_vector,
     check_fraction,
@@ -67,18 +69,12 @@ class GapDescriptor:
         if g.shape[0] > GAP_RANK_CAP:
             raise CapacityError(f"GAP rank is capped at {GAP_RANK_CAP}, got {g.shape[0]}")
         object.__setattr__(self, "generators", g)
-        for name in ("lower", "upper"):
-            if not isinstance(getattr(self, name), (list, tuple, np.ndarray)):
-                raise PreconditionError(f"{name} must be an array of integers, got {getattr(self, name)!r}")
         if not isinstance(self.symmetric, (bool, np.bool_)):
             raise PreconditionError(f"symmetric must be true or false, got {self.symmetric!r}")
-        lo = tuple(check_int(v, "every entry of lower", None) for v in self.lower)
-        up = tuple(check_int(v, "every entry of upper", None) for v in self.upper)
-        if len(lo) != g.shape[0] or len(up) != g.shape[0]:
-            raise PreconditionError(
-                f"bounds must match the generator count {g.shape[0]}, "
-                f"got {len(lo)} lower and {len(up)} upper"
-            )
+        # one integer bound of each kind per generator
+        lo, up = (tuple(check_int(v, f"every entry of {name}", None)
+                        for v in as_sequence(getattr(self, name), name, g.shape[0]))
+                  for name in ("lower", "upper"))
         if any(l > u for l, u in zip(lo, up)):
             raise PreconditionError("every lower bound must be <= its upper bound")
         if self.symmetric and any(l != -u for l, u in zip(lo, up)):
@@ -127,7 +123,9 @@ class GapDescriptor:
         return rng.integers(lo, up + 1, size=(count, self.rank), dtype=np.int64)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "GapDescriptor":
+    def from_dict(cls, d: Mapping) -> "GapDescriptor":
+        if not isinstance(d, Mapping):
+            raise PreconditionError(f"a GAP description must be a mapping (a JSON object), got {d!r}")
         try:
             return cls(d["generators"], d["lower"], d["upper"], d.get("symmetric", False))
         except KeyError as e:
@@ -161,9 +159,7 @@ class ConstructionCertificate:
 
 
 def _check_permutation(pi, n: int) -> list[int]:
-    if np.shape(pi) != (n,):
-        raise PreconditionError(f"pi must be a permutation of 0..{n - 1}")
-    p = [check_int(v, "every entry of pi", 0) for v in pi]
+    p = [check_int(v, "every entry of pi", 0) for v in as_sequence(pi, "pi", n)]
     if sorted(p) != list(range(n)):
         raise PreconditionError(f"pi must be a permutation of 0..{n - 1}")
     return p
@@ -192,10 +188,7 @@ def selector_matrix(n: int, targets) -> ConstructionCertificate:
     columns form a permutation.
     """
     n = check_int(n, "n", 1)
-    tgt = list(targets)
-    if len(tgt) != n:
-        raise PreconditionError(f"targets must assign all {n} rows, got {len(tgt)}")
-    cols, signs = column_sign_pairs(dict(enumerate(tgt)), n)
+    cols, signs = column_sign_pairs(dict(enumerate(as_sequence(targets, "targets", n))), n)
     m = np.zeros((n, n))
     m[np.arange(n), cols] = signs
     return ConstructionCertificate(
@@ -316,6 +309,8 @@ def gap_perturbed_selector(
     if n > GAP_PERTURBED_CAP:
         raise CapacityError(f"the GAP-perturbed construction is capped at n={GAP_PERTURBED_CAP}, got {n}")
     _check_selector_style(base)
+    if not isinstance(gap, GapDescriptor):
+        raise PreconditionError(f"gap must be a GapDescriptor, got {gap!r}")
     if gap.ambient_dim != n:
         raise PreconditionError(
             f"GAP ambient dimension {gap.ambient_dim} must match the matrix size {n}"

@@ -8,8 +8,8 @@ so the integer value of the bitmask doubles as an enumeration index.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence, Set
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -160,19 +160,32 @@ def as_signs(values, name: str, n: int | None = None) -> np.ndarray:
     return arr.astype(np.float64)
 
 
+def as_sequence(values, name: str, n: int | None = None) -> list:
+    """``values`` as a list: any ordered iterable, not a string, a mapping or
+    a set, and holding exactly ``n`` items when ``n`` is given."""
+    try:
+        items = iter(values)
+    except TypeError:  # not iterable, a 0-d array included
+        items = None
+    if items is None or isinstance(values, (str, bytes, Mapping, Set)):
+        raise PreconditionError(f"{name} must be a sequence, got {values!r}")
+    items = list(items)
+    if n is not None and len(items) != n:
+        raise PreconditionError(f"{name} must hold {n} items, got {len(items)}")
+    return items
+
+
 def column_sign_pairs(pairs: dict, cols: int) -> tuple[list[int], np.ndarray]:
-    """The columns and the signs of ``{row: (column, sign)}``.  Each pair
-    holds exactly two entries: a column in ``[0, cols)`` and a sign."""
-    columns = []
+    """The columns and the signs of ``{row: (column, sign)}``.  Each pair is
+    a sequence of two entries: a column in ``[0, cols)`` and a sign."""
+    columns, signs = [], []
     for i, pair in pairs.items():
-        try:
-            c, _ = pair
-        except (TypeError, ValueError):
-            raise PreconditionError(f"row {i} must hold a (column, sign) pair, got {pair!r}") from None
+        c, s = as_sequence(pair, f"the (column, sign) pair of row {i}", 2)
         columns.append(check_int(c, f"the column of row {i}", 0))
         if columns[-1] >= cols:
             raise PreconditionError(f"row {i} selects column {c}, out of range for {cols} columns")
-    return columns, as_signs([s for _, s in pairs.values()], "signs", len(pairs))
+        signs.append(s)
+    return columns, as_signs(signs, "signs", len(pairs))
 
 
 DEFAULT_TOLERANCES = ToleranceConfig()
@@ -343,9 +356,8 @@ def load_matrix(path) -> np.ndarray:
 
 def sign_matrix_from_rows(vectors: Iterable) -> np.ndarray:
     """Stack sign vectors (SignVector or +-1 sequences) into a k x n float array."""
-    rows = []
-    for v in vectors:
-        rows.append(v.components() if isinstance(v, SignVector) else as_signs(v, "a sign vector"))
+    rows = [v.components() if isinstance(v, SignVector) else as_signs(v, "a sign vector")
+            for v in as_sequence(vectors, "vectors")]
     if not rows:
         raise ShapeError("at least one vector is required")
     n = rows[0].size

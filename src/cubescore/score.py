@@ -18,10 +18,8 @@ from .core import (
     CapacityError,
     DEFAULT_TOLERANCES,
     PreconditionError,
-    SignVector,
     _is_number,
     as_matrix,
-    as_signs,
     check_fraction,
 )
 
@@ -118,13 +116,6 @@ def threshold_score(
     hits, total, stderr = _kernel.count_signs(arr, clears, mode, samples, seed, threads)
     method = "exact" if mode == "exact" else "monte_carlo"
     return ThresholdScoreReport(hits, total, hits / total, stderr, method, 0.0, float(theta))
-
-
-def product_statistic(m, x) -> float:
-    """The single-vector statistic ``prod_i |(Mx)_i|``."""
-    arr = as_matrix(m, square=True)
-    vec = as_signs(x.components() if isinstance(x, SignVector) else x, "x", arr.shape[1])
-    return float(np.prod(np.abs(arr @ vec)))
 
 
 def naive_exact_score(m, tol: float = DEFAULT_TOLERANCES.membership_tol) -> ScoreReport:

@@ -23,6 +23,7 @@ from .core import (
     PreconditionError,
     antisymmetric_block,
     as_matrix,
+    as_sequence,
     as_vector,
     check_column_stochastic,
     check_fraction,
@@ -59,9 +60,7 @@ class SparseSignMatrix:
     def __post_init__(self):
         check_int(self.rows, "rows", 1)
         check_int(self.cols, "cols", 1)
-        ent = tuple(self.entries)
-        if len(ent) != self.rows:
-            raise PreconditionError(f"need one entry slot per row, got {len(ent)} for {self.rows} rows")
+        ent = tuple(as_sequence(self.entries, "entries", self.rows))  # one slot per row
         column_sign_pairs({i: e for i, e in enumerate(ent) if e is not None}, self.cols)
         object.__setattr__(self, "entries", ent)
 
@@ -71,13 +70,6 @@ class SparseSignMatrix:
             if e is not None:
                 out[i, e[0]] = float(e[1])
         return out
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [[i, int(e[0]), int(e[1])] for i, e in enumerate(self.entries) if e is not None],
-        }
 
 
 @dataclass(frozen=True)
@@ -446,11 +438,11 @@ def procrustes_fit(pairs) -> ProcrustesReport:
     residuals.  A perfect fit exists exactly when some orthogonal map sends
     every ``x_i`` to ``y_i``.
     """
-    pair_list = list(pairs)
+    pair_list = [as_sequence(p, f"pair {i}", 2) for i, p in enumerate(as_sequence(pairs, "pairs"))]
     if not pair_list:
         raise PreconditionError("at least one pair is required")
-    xs = sign_matrix_from_rows(x for x, _ in pair_list)
-    ys = sign_matrix_from_rows(y for _, y in pair_list)
+    xs = sign_matrix_from_rows([x for x, _ in pair_list])
+    ys = sign_matrix_from_rows([y for _, y in pair_list])
     if xs.shape != ys.shape:
         raise PreconditionError("x and y vectors must share one common length")
     cross = ys.T @ xs

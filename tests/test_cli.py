@@ -167,7 +167,7 @@ def test_analyze_envelope(capsys, tmp_path, reflected4):
     obj = run_json(capsys, "analyze", "--matrix", reflected4)
     assert obj["report"]["dominance"]["n"] == 4
     assert obj["report"]["decomposition"]["residual_rank"] == 4
-    assert obj["report"]["decomposition"]["f"]["entries"] == []
+    assert obj["report"]["decomposition"]["f"]["entries"] == [None] * 4
 
     # at n=16 the same family has diagonal 0.875, inside the window, and
     # the left-over rank-one block is recovered
@@ -175,7 +175,7 @@ def test_analyze_envelope(capsys, tmp_path, reflected4):
     save_matrix(near, np.eye(16) - np.ones((16, 16)) / 8.0)
     obj = run_json(capsys, "analyze", "--matrix", str(near))
     assert obj["report"]["decomposition"]["residual_rank"] == 1
-    assert obj["report"]["decomposition"]["f"]["entries"] == [[i, i, 1] for i in range(16)]
+    assert obj["report"]["decomposition"]["f"]["entries"] == [[i, 1] for i in range(16)]
 
 
 def test_rho_envelope(capsys, tmp_path):

@@ -26,7 +26,7 @@ from cubescore.core import (
     sign_matrix_from_rows,
 )
 from cubescore.permanent import balls_in_bins_estimate, bernoulli_permanent, ryser_value
-from cubescore.score import exact_score, mc_score, product_statistic, threshold_score
+from cubescore.score import exact_score, mc_score, threshold_score
 from cubescore.structure import (
     SparseSignMatrix,
     classify_row,
@@ -239,7 +239,6 @@ def _rejection_cases():
         "perm_reflection": lambda s: perm_reflection(2, [1, 0], s),
         "selector_matrix": lambda s: selector_matrix(2, [(0, s[0]), (1, s[1])]),
         "rank_r_diag_signs": lambda s: rank_r_orthogonal(5, d, diag_signs=[1, 1, 1, *s]),
-        "product_statistic": lambda s: product_statistic(eye, s),
         "procrustes_fit": lambda s: procrustes_fit([(s, [1, 1])]),
         "hamming_check": lambda s: hamming_check(s, [1, 1]),
         "from_components": lambda s: SignVector.from_components(s),
@@ -250,8 +249,6 @@ def _rejection_cases():
     cases += [
         ("perm_reflection-signs-length", lambda: perm_reflection(2, [1, 0], [1, 1, 1]), PreconditionError),
         ("rank_r_diag_signs-length", lambda: rank_r_orthogonal(5, d, diag_signs=[1, 1]), PreconditionError),
-        ("product_statistic-2d", lambda: product_statistic(eye, [[1, 1]]), PreconditionError),
-        ("product_statistic-length", lambda: product_statistic(eye, [1, 1, 1]), PreconditionError),
         ("procrustes_fit-ragged", lambda: procrustes_fit([([1, 1], [1, 1, 1])]), PreconditionError),
         ("hamming_check-length", lambda: hamming_check([1, 1], [1, 1, 1]), PreconditionError),
         ("from_components-empty", lambda: SignVector.from_components([]), ShapeError),
@@ -261,6 +258,20 @@ def _rejection_cases():
         ("rank_r_d-columns", lambda: rank_r_orthogonal(2, np.ones((1, 2))), PreconditionError),
         ("gap-size-cap", lambda: GapDescriptor(np.ones((1, 4)), (-10**6,), (10**6,)).is_proper(),
          CapacityError),
+    ]
+    # outside sequences: each of these raised a bare TypeError, ValueError or
+    # AttributeError before they went through one sequence rule
+    cases += [
+        ("selector_matrix-targets-int", lambda: selector_matrix(2, 5), PreconditionError),
+        ("sparse_sign_matrix-entries-int", lambda: SparseSignMatrix(2, 2, 5), PreconditionError),
+        ("perm_reflection-pi-ragged", lambda: perm_reflection(2, [[0], [1, 2]], [1, 1]), PreconditionError),
+        ("procrustes_fit-int", lambda: procrustes_fit(5), PreconditionError),
+        ("procrustes_fit-pair-int", lambda: procrustes_fit([5]), PreconditionError),
+        ("procrustes_fit-1-tuple", lambda: procrustes_fit([(1,)]), PreconditionError),
+        ("procrustes_fit-3-tuple", lambda: procrustes_fit([([1], [1], [1])]), PreconditionError),
+        ("sign_matrix_from_rows-int", lambda: sign_matrix_from_rows(5), PreconditionError),
+        ("gap-from_dict-list", lambda: GapDescriptor.from_dict([1]), PreconditionError),
+        ("gap_perturbed-gap-int", lambda: gap_perturbed_selector(np.eye(2), 5, 1), PreconditionError),
     ]
     not_stochastic = [np.ones((2, 2)), np.array([[1.5, 0.0], [-0.5, 1.0]])]
     for k, a in enumerate(not_stochastic):

@@ -5,14 +5,13 @@ import pytest
 
 from cubescore import _json, _kernel
 from cubescore.constructors import perm_reflection, rank_one_orthogonal, selector_matrix
-from cubescore.core import CapacityError, PreconditionError, SignVector
+from cubescore.core import CapacityError, PreconditionError
 from cubescore.score import (
     exact_hit_indices,
     exact_score,
     mc_score,
     naive_exact_score,
     naive_hit_indices,
-    product_statistic,
     threshold_score,
 )
 
@@ -256,18 +255,6 @@ def test_threshold_score_validation():
         threshold_score(np.eye(3), 0.5, mode="mc", samples=100)
     with pytest.raises(PreconditionError):
         threshold_score(np.eye(3), 0.5, mode="mc", seed=3)
-
-
-def test_product_statistic_matches_manual(rng):
-    m = rng.normal(size=(5, 5))
-    x = SignVector.from_components([1, -1, 1, 1, -1])
-    manual = float(np.prod(np.abs(m @ x.components())))
-    assert product_statistic(m, x) == manual
-    assert product_statistic(m, [1, -1, 1, 1, -1]) == manual
-    with pytest.raises(PreconditionError):
-        product_statistic(m, [1, 0, 1, 1, -1])
-    with pytest.raises(PreconditionError):
-        product_statistic(m, [1, -1])
 
 
 def test_report_dict_key_order():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cubescore import _json
 from cubescore.constructors import perm_reflection, rank_one_orthogonal, rank_r_orthogonal
 from cubescore.core import CapacityError, PreconditionError, ShapeError, SignVector
 from cubescore.permanent import ryser_value
@@ -28,7 +29,7 @@ def test_sparse_sign_matrix_round_trip():
     dense = f.to_dense()
     assert dense.tolist() == [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -1.0]]
     assert sum(e is not None for e in f.entries) == 2
-    assert f.to_dict() == {"rows": 3, "cols": 3, "entries": [[0, 0, 1], [2, 2, -1]]}
+    assert _json.dumps(f) == '{"rows":3,"cols":3,"entries":[[0,1],null,[2,-1]]}'
 
 
 def test_sparse_sign_matrix_validation():
