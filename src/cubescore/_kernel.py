@@ -28,6 +28,9 @@ answers from it, and take the walk only where it declines: a non-integral
 entry, a row with ``sum_j |a_rj| >= 2**53``, a key range past ``int64``,
 ``n > 62`` or more than :data:`_INTEGER_STATES` states.  Past
 :data:`RHO_N_CAP` columns :func:`modal_signed_sum` does not walk.
+:func:`rank_one_window_hits` counts the hits of a :class:`Window` for a
+signed permutation plus an integer rank-one term from the same histogram,
+per value of the rank-one term's sum.
 
 Every Monte Carlo statistic over sign vectors runs through
 :func:`mc_sign_blocks`.  Samples come in blocks of :func:`mc_rows` rows,
@@ -311,6 +314,52 @@ def _ranges(begin: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     owner = np.repeat(np.arange(lens.size), lens)
     pos = np.arange(owner.size) + np.repeat(begin.ravel() - (np.cumsum(lens) - lens), lens)
     return owner // begin.shape[1], pos
+
+
+def rank_one_window_hits(cols: np.ndarray, signs: np.ndarray, u: np.ndarray, v: np.ndarray,
+                         bound: np.ndarray, window: Window) -> int | None:
+    """Hits of ``window`` over all of ``{-1,+1}^n`` for ``M = S P + u v^T``
+    without the walk, or ``None`` where it declines.
+
+    Row ``i`` of ``S P`` holds ``signs[i]`` in column ``cols[i]``, a
+    permutation, and ``v`` is an ``int64`` vector.  Then ``(Mx)_i =
+    signs[i] x[cols[i]] + u[i] z`` with ``z = v . x``.  For each value of
+    ``z`` that :func:`integer_sum_counts` finds, the window decides which
+    signs each coordinate may take; the hits with that ``z`` are the sign
+    choices with ``v . x = z``, read from the histogram of the coordinates
+    free to take either sign.  One histogram serves every ``z`` with the same
+    free coordinates.
+
+    ``bound[i]`` bounds how far a distance evaluated here may lie from the
+    one the walk would decide row ``i`` on.  Where any lies within it of
+    ``tol`` the answer is ``None``, so a count returned equals the walk's.
+    It is also ``None`` where the histogram declines or the table of
+    distances, one per value of ``z`` and row, would pass
+    :data:`_INTEGER_STATES` entries.
+    """
+    found = integer_sum_counts(v[None, :])
+    if found is None or found[0].size * v.size > _INTEGER_STATES:
+        return None
+    z = found[0][:, 0]
+    shift = np.multiply.outer(z.astype(float), u)
+    dist = np.stack([window.distance(shift + 1.0), window.distance(shift - 1.0)])  # signs[i] x[cols[i]] = +1, -1
+    if np.any(np.abs(dist - window.tol) <= bound):
+        return None
+    ok = dist <= window.tol
+    plus, minus = np.empty_like(ok[0]), np.empty_like(ok[0])  # coordinate j may be +1, -1
+    plus[:, cols] = np.where(signs > 0, ok[0], ok[1])
+    minus[:, cols] = np.where(signs > 0, ok[1], ok[0])
+    live = (plus | minus).all(axis=1)
+    # the free coordinates must sum to z less the sum of the fixed ones
+    target = (z - (plus.astype(np.int64) - minus) @ v)[live]
+    hits = 0
+    masks, group = np.unique((plus & minus)[live], axis=0, return_inverse=True)
+    for g, mask in enumerate(masks):
+        sums, counts = integer_sum_counts(v[None, mask])
+        want = target[group.ravel() == g]
+        at = np.minimum(np.searchsorted(sums[:, 0], want), sums.shape[0] - 1)
+        hits += int(counts[at][sums[at, 0] == want].sum())
+    return hits
 
 
 def parity_product_sum(m: np.ndarray, *, half: bool = False, members: bool = False) -> float:

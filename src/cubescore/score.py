@@ -22,6 +22,7 @@ from .core import (
     as_matrix,
     check_fraction,
 )
+from .structure import perm_plus_rank_one
 
 
 @dataclass(frozen=True)
@@ -54,16 +55,43 @@ _NAIVE_CHUNK = 4096
 def exact_score(m, tol: float = DEFAULT_TOLERANCES.membership_tol) -> ScoreReport:
     """Exhaustive hit score over all ``2**n`` sign vectors.
 
-    A vector counts as a hit when ``max_i ||(Mx)_i| - 1| <= tol``.  The rule
-    is invariant under ``x -> -x``, so half the cube is walked and the count
-    doubled.  Where hits are rare the walk checks only the vectors whose
-    image can be near ``+-1`` in one row (``_kernel.half_cube_hits``), with
-    the same count.  Capped at ``n <= 30``.
+    A vector counts as a hit when ``max_i ||(Mx)_i| - 1| <= tol``.  A signed
+    permutation plus an integer rank-one term, ``M = S P + u v^T``
+    (:func:`structure.perm_plus_rank_one`), is counted without the walk:
+    ``(Mx)_i = s_i x_{pi(i)} + u_i z`` with ``z = v . x``, so for each value
+    of ``z`` the rule fixes the signs each coordinate may take, and the
+    exact histogram of ``v . x`` over those signs gives the hits
+    (:func:`_kernel.rank_one_window_hits`).  That count equals the walk's:
+    where an evaluated distance lies within a rounding bound of ``tol``, or
+    the histogram declines (``n > 62`` among others), the walk runs instead.
+    The walk takes half the cube, as the rule is invariant under ``x ->
+    -x``, and doubles the count.  Where hits are rare it checks only the
+    vectors whose image can be near ``+-1`` in one row
+    (``_kernel.half_cube_hits``), with the same count.  The walk is capped at
+    ``n <= 30`` (``core.ENUMERATION_CAP``); the structured count is not.
     """
     arr = as_matrix(m, square=True)
     tol = check_fraction(tol)
-    hits, total, _ = _kernel.count_signs(arr, _kernel.Window(1.0, tol))
+    window = _kernel.Window(1.0, tol)
+    hits = _structured_hits(arr, window)
+    if hits is None:
+        hits = _kernel.count_signs(arr, window)[0]
+    total = 1 << arr.shape[0]
     return ScoreReport(hits, total, hits / total, 0.0, "exact", tol)
+
+
+def _structured_hits(arr: np.ndarray, window: _kernel.Window) -> int | None:
+    # the split of M, if any, and a bound per row on how far each distance
+    # evaluated from it may lie from the walk's: the split's own error, the
+    # walk's rounding (gamma_n times the row's l1-norm) and the rounding of
+    # the split, of u_i z with |z| <= sum |v| and of ||s + u_i z| - 1|
+    split = perm_plus_rank_one(arr)
+    if split is None:
+        return None
+    cols, signs, u, v, error = split
+    scale = np.abs(arr).sum(axis=1) + error + 2.0 + np.abs(u) * float(np.abs(v).sum())
+    bound = error + (arr.shape[0] + 4) * np.finfo(float).eps * scale
+    return _kernel.rank_one_window_hits(cols, signs, u, v, bound, window)
 
 
 def exact_hit_indices(m, tol: float = DEFAULT_TOLERANCES.membership_tol) -> np.ndarray:

@@ -225,6 +225,35 @@ def _row_peaks(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cols, arr[np.arange(arr.shape[0]), cols]
 
 
+def _sign_part(arr: np.ndarray, snap_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`decompose`'s split: per row the peak column, its sign and
+    whether the peak snaps to ``+-1`` (within ``snap_tol`` of unit size),
+    and the residual ``M - F``."""
+    cols, peaks = _row_peaks(arr)
+    snapped = np.abs(np.abs(peaks) - 1.0) <= snap_tol
+    signs = np.where(peaks > 0, 1, -1)
+    residual = arr.copy()
+    rows = np.flatnonzero(snapped)
+    residual[rows, cols[rows]] -= signs[rows]
+    return cols, signs, snapped, residual
+
+
+def _pivot_columns(a: np.ndarray, count: int) -> list[int]:
+    """Greedy column pivoting: ``count`` column indices of ``a``, each the
+    column of largest norm (ties to the lowest index) once the columns
+    picked before it are projected out."""
+    a = a.copy()
+    pivots = []
+    for _ in range(count):
+        norms = np.einsum("ij,ij->j", a, a)
+        norms[pivots] = -1.0
+        p = int(np.argmax(norms))
+        q = a[:, p] / np.sqrt(norms[p])
+        a -= np.outer(q, q @ a)
+        pivots.append(p)
+    return pivots
+
+
 def decompose(
     m,
     snap_tol: float = 0.25,
@@ -236,26 +265,22 @@ def decompose(
     within ``snap_tol`` of unit size (ties break to the lowest column); rows
     with no such entry stay empty in ``F``.  The residual ``M - F`` gets a
     numerical rank, and when that rank is between 1 and 10 the residual
-    columns are fitted as integer combinations of a pivot-column basis,
-    yielding a GAP-style description with observed coefficient bounds.
+    columns are fitted as integer combinations of a basis of pivot columns
+    (:func:`_pivot_columns`), yielding a GAP-style description with observed
+    coefficient bounds.
     """
     arr = as_matrix(m, square=True)
     snap_tol = check_fraction(snap_tol, "snap_tol")
     n = arr.shape[0]
-    cols, peaks = _row_peaks(arr)
-    snapped = np.abs(np.abs(peaks) - 1.0) <= snap_tol
-    signs = np.where(peaks > 0, 1, -1)
+    cols, signs, snapped, residual = _sign_part(arr, snap_tol)
     f = SparseSignMatrix(n, n, tuple((j, s) if keep else None
                                      for j, s, keep in zip(cols.tolist(), signs.tolist(), snapped.tolist())))
-    residual = arr - f.to_dense()
     rank = numeric_rank(residual, rank_tol)
 
     gap_fit = None
     if 1 <= rank <= GAP_RANK_CAP:
-        import scipy.linalg
-
-        pivots = scipy.linalg.qr(residual, mode="r", pivoting=True)[1][:rank]
-        basis = residual[:, np.sort(pivots)]  # (n, rank)
+        pivots = np.sort(_pivot_columns(residual, rank))
+        basis = residual[:, pivots]  # (n, rank)
         coeff_rows, fit_residuals = zip(*(integer_fit(basis, col) for col in residual.T))
         coeffs = np.vstack(coeff_rows)  # (n, rank)
         gap = GapDescriptor(
@@ -266,12 +291,44 @@ def decompose(
         )
         gap_fit = {
             "gap": gap,
-            "generator_columns": [int(v) for v in np.sort(pivots)],
+            "generator_columns": [int(v) for v in pivots],
             "coefficients": coeffs.tolist(),
             "max_fit_residual": max(fit_residuals),
         }
 
     return DecompositionReport(f, residual, rank, gap_fit)
+
+
+def perm_plus_rank_one(arr: np.ndarray):
+    """``(cols, signs, u, v, error)`` with ``M = S P + u v^T + E`` and ``v``
+    an integer vector, or ``None`` where ``M`` has no such split.
+
+    Row ``i`` of the signed permutation ``S P`` holds ``signs[i]`` in column
+    ``cols[i]``: it is :func:`decompose`'s sparse sign part at its default
+    ``snap_tol``, which must fill every row and use every column once.  The
+    residual ``M - S P`` must have a numeric rank of 0 or 1 at the default
+    ``rank_tol``.  Then ``u`` is its smallest column whose norm passes the
+    same cutoff, relative to the largest column's, and ``v`` the ``int64``
+    multiples of ``u`` that :func:`integer_fit` fits to every column, so any
+    integer ``t`` with a ``+-1`` entry gives an exact ``v``.  A zero residual
+    gives ``u = 0`` and ``v = 0``.  ``error[i]`` is ``sum_j |E_ij|`` as
+    evaluated.
+    """
+    n = arr.shape[0]
+    cols, signs, snapped, residual = _sign_part(arr, 0.25)  # decompose's default snap_tol
+    if not snapped.all() or np.unique(cols).size != n:
+        return None
+    rank = numeric_rank(residual)
+    if rank > 1:
+        return None
+    u, v = np.zeros(n), np.zeros(n, np.int64)
+    if rank == 1:
+        norms = np.linalg.norm(residual, axis=0)
+        nonzero = np.flatnonzero(norms > DEFAULT_TOLERANCES.rank_tol * norms.max())
+        u = residual[:, nonzero[np.argmin(norms[nonzero])]]
+        v = integer_fit(u[:, None], residual)[0][0]
+    error = np.abs(residual - np.outer(u, v)).sum(axis=1)
+    return cols, signs, u, v, error
 
 
 def classify_row(row) -> RowClass:

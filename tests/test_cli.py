@@ -274,8 +274,9 @@ def test_a_seed_must_lie_below_2_128(capsys, reflected4, seed, code):
 
 
 def test_capacity_failure_exits_two(capsys, tmp_path):
+    # half the identity is no signed permutation plus rank one, so the walk runs
     path = tmp_path / "big.txt"
-    save_matrix(path, np.eye(31))
+    save_matrix(path, 0.5 * np.eye(31))
     code, _, err = run_cli(capsys, "score-exact", "--matrix", str(path))
     assert code == 2
     assert json.loads(err)["error"]["type"] == "CapacityError"

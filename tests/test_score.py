@@ -6,6 +6,7 @@ import pytest
 from cubescore import _json, _kernel
 from cubescore.constructors import perm_reflection, rank_one_orthogonal, selector_matrix
 from cubescore.core import CapacityError, PreconditionError
+from cubescore.structure import perm_plus_rank_one
 from cubescore.score import (
     exact_hit_indices,
     exact_score,
@@ -15,7 +16,7 @@ from cubescore.score import (
     threshold_score,
 )
 
-from .conftest import rand_orthogonal
+from .conftest import rand_orthogonal, run_python
 
 
 def reflected_ones(n):
@@ -170,7 +171,9 @@ def test_exact_score_validation():
     with pytest.raises(PreconditionError):
         exact_score(np.eye(3), tol=0.0)
     with pytest.raises(CapacityError):
-        exact_score(np.eye(31))
+        exact_score(0.5 * np.eye(31))  # no signed permutation plus rank one: the walk runs
+    with pytest.raises(CapacityError):
+        exact_score(np.eye(63))  # the histogram's counts stop at n=62
     with pytest.raises(CapacityError):
         naive_exact_score(np.eye(21))
 
@@ -327,3 +330,166 @@ def test_mc_block_image_matches_direct_product(rng):
     for y, bits in blocks:
         assert y.shape == (n, 3000)
         assert np.abs(y - m @ (1.0 - 2.0 * bits)).max() <= bound
+
+
+def walk_hits(m, tol=1e-9):
+    return _kernel.count_signs(m, _kernel.Window(1.0, tol))[0]
+
+
+def signed_rows(rng, m):
+    # S P M for a random signed permutation S P
+    n = m.shape[0]
+    return rng.choice([-1.0, 1.0], size=n)[:, None] * m[rng.permutation(n)]
+
+
+@pytest.fixture
+def structured(monkeypatch):
+    """The counts of the structured path that ran, ``None`` for a decline."""
+    seen = []
+    count = _kernel.rank_one_window_hits
+
+    def spy(*args):
+        seen.append(count(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(_kernel, "rank_one_window_hits", spy)
+    return seen
+
+
+def test_structured_path_matches_the_walk_for_every_small_n(rng, structured):
+    # signed permutations, and signed-permuted rank-one reflections: the
+    # all-ones t, integer t in [-3, 3] (most do not snap to a signed
+    # permutation and walk), and t of +-1 and 0 entries with one 3 or 2
+    # (these snap from n=8 or so on)
+    taken = set()
+    for n in range(1, 21):
+        cases = [("perm", np.eye(n)[rng.permutation(n)] * rng.choice([-1.0, 1.0], size=n))]
+        for t in (np.ones(n), rng.integers(-3, 4, size=n), rng.integers(-3, 4, size=n),
+                  rng.choice([-1, 0, 1, 1], size=n), np.r_[rng.choice([-1, 1], size=n - 1), 3][:n],
+                  np.r_[rng.choice([-1, 1], size=n - 1), 2][:n]):
+            t = t.astype(float)
+            t[0] = 1.0
+            cases.append(("rank one", signed_rows(rng, rank_one_orthogonal(n, t).matrix)))
+        for kind, m in cases:
+            for tol in (1e-9, 0.3):
+                structured.clear()
+                assert exact_score(m, tol).hit_count == walk_hits(m, tol)
+                if structured and structured[0] is not None:
+                    taken.add((kind, n))
+    assert {n for kind, n in taken if kind == "perm"} == set(range(1, 21))
+    assert {n for kind, n in taken if kind == "rank one"} >= set(range(8, 21))
+
+
+def test_structured_path_takes_the_benchmark_reflection(rng, structured):
+    m = signed_rows(rng, reflected_ones(20))
+    assert exact_score(m).hit_count == walk_hits(m) == math.comb(20, 10) + 2
+    assert structured == [math.comb(20, 10) + 2]
+
+
+def _no_walk(*args, **kwargs):
+    raise AssertionError("the structured count walked")
+
+
+@pytest.mark.parametrize("n", [32, 40, 62])
+def test_reflection_closed_form_past_the_walk_cap(rng, monkeypatch, n):
+    monkeypatch.setattr(_kernel, "sign_walk", _no_walk)
+    rep = exact_score(signed_rows(rng, reflected_ones(n)))
+    assert rep.hit_count == math.comb(n, n // 2) + 2
+    assert rep.total == 1 << n
+    assert rep.score == rep.hit_count / 2**n
+
+
+def test_signed_permutation_scores_one_without_the_walk(rng, monkeypatch):
+    # a residual of rank 0: u = 0 and v = 0, so every x is a hit
+    monkeypatch.setattr(_kernel, "sign_walk", _no_walk)
+    for n in (1, 5, 40, 62):
+        rep = exact_score(np.eye(n)[rng.permutation(n)] * rng.choice([-1.0, 1.0], size=n))
+        assert rep.hit_count == rep.total == 1 << n
+        assert rep.score == 1.0
+
+
+def test_a_tol_on_an_attainable_distance_falls_back_to_the_walk(structured):
+    # I - J/5 at n=10: u = -0.2 per row and z = sum(x), so z = +-2 puts
+    # every row 0.4 from +-1, up to rounding; tol = 0.4 sits on that edge
+    m = reflected_ones(10)
+    for tol, fell_back in ((0.4, True), (0.4 + 1e-6, False), (0.4 - 1e-6, False)):
+        structured.clear()
+        assert exact_score(m, tol).hit_count == naive_exact_score(m, tol).hit_count
+        assert (structured == [None]) == fell_back
+    # an exact split, as 1 + c is a float: only rounding, in the walk and
+    # here, separates the distance at z = 2 from a tol one ulp off it
+    c = round(-0.2 * 2**53) / 2**53
+    m = np.eye(10) + c
+    d = abs(abs(1.0 + 2.0 * c) - 1.0)
+    assert perm_plus_rank_one(m)[4].max() == 0.0
+    for tol in (np.nextafter(d, 1.0), np.nextafter(d, 0.0)):
+        structured.clear()
+        assert exact_score(m, tol).hit_count == walk_hits(m, tol)
+        assert structured == [None]
+
+
+def test_a_split_error_across_tol_falls_back_to_the_walk(structured):
+    # I - J/6 with entries of row 0 nudged down.  By 1.5 tol in all, over
+    # columns 4 and 5, the residual keeps rank one but row 0 of a balanced x
+    # moves 1.5 tol off +-1 unless x_4 != x_5: the split's error crosses tol,
+    # and the walk counts.  By 0.5 tol, in column 5, no image crosses it, and
+    # the structured path counts every balanced x and the two corners.
+    n, tol = 12, 1e-9
+    for nudged, fell_back in (((4, 5, -0.75 * tol), True), ((5, -0.5 * tol), False)):
+        m = reflected_ones(n)
+        m[0, list(nudged[:-1])] += nudged[-1]
+        structured.clear()
+        hits = exact_score(m, tol).hit_count
+        assert hits == naive_exact_score(m, tol).hit_count
+        if fell_back:
+            assert structured == [None]
+            assert 0 < hits < math.comb(n, n // 2)
+        else:
+            assert structured == [hits] == [math.comb(n, n // 2) + 2]
+
+
+def test_rank_two_and_non_integer_residuals_decline(rng, structured):
+    n = 16
+    s = np.eye(n)[rng.permutation(n)]
+    rank_two = s + 0.01 * np.outer(rng.normal(size=n), rng.normal(size=n)) \
+        + 0.01 * np.outer(rng.normal(size=n), rng.normal(size=n))
+    assert perm_plus_rank_one(rank_two) is None
+    assert exact_score(rank_two, 0.1).hit_count == walk_hits(rank_two, 0.1)
+    assert structured == []
+    for t in (np.r_[1.0, 1.5, np.ones(18)], np.r_[1.0, math.sqrt(2.0), np.ones(18)]):
+        m = signed_rows(rng, rank_one_orthogonal(20, t).matrix)
+        structured.clear()
+        assert exact_score(m).hit_count == walk_hits(m)
+        assert structured == [None]
+
+
+def test_the_split_reads_an_integer_t_with_a_unit_entry(rng):
+    # every residual column is an integer multiple of the smallest nonzero one
+    # (n=70 keeps the diagonal entry of the 3 within the snap)
+    t = np.r_[1.0, -3.0, 0.0, 2.0, rng.choice([-1.0, 1.0], size=66)]
+    m = rank_one_orthogonal(70, t).matrix
+    cols, signs, u, v, error = perm_plus_rank_one(m)
+    assert cols.tolist() == list(range(70)) and signs.tolist() == [1] * 70
+    assert abs(v[0]) == 1 and (v / v[0]).tolist() == t.tolist()
+    assert np.abs(np.outer(u, v) - (m - np.eye(70))).max() <= 1e-15
+    assert error.max() <= 1e-14
+
+
+def test_exact_score_and_decompose_leave_scipy_unloaded():
+    code = """
+import sys
+import numpy as np
+from cubescore.score import exact_score
+from cubescore.structure import decompose
+rng = np.random.default_rng(5)
+n = 20
+r = np.eye(n) - 2.0 / n
+exact_score(r)
+exact_score(rng.normal(size=(12, 12)))
+exact_score(np.eye(40))
+decompose(r)
+decompose(np.eye(30) + 0.01 * rng.normal(size=(30, 3)) @ rng.normal(size=(3, 30)))
+decompose(rng.normal(size=(512, 512)))
+print("scipy" in sys.modules)
+"""
+    assert run_python(code) == "False\n"

@@ -125,6 +125,23 @@ def test_decompose_reconstruction_is_exact(rng):
     assert np.max(np.abs(rep.f.to_dense() + rep.residual - m)) == 0.0
 
 
+def test_pivot_columns_follow_pivoted_qr(rng):
+    # greedy pivoting picks the columns LAPACK's pivoted QR picks first
+    import scipy.linalg
+
+    from cubescore.structure import _pivot_columns
+
+    for r in range(1, 6):
+        for _ in range(5):
+            n = int(rng.integers(r + 1, 30))
+            a = rng.normal(size=(n, r)) @ (rng.normal(size=(r, n)) * rng.uniform(0.1, 3.0, size=n))
+            assert _pivot_columns(a, r) == scipy.linalg.qr(a, mode="r", pivoting=True)[1][:r].tolist()
+    # equal norms: the lowest column; zero columns are never picked
+    tied = np.outer([1.0, -1.0, 0.0, 1.0], [0.0, 1.0, -1.0, 1.0, 1.0])
+    assert _pivot_columns(tied, 1) == [1]
+    assert _pivot_columns(np.c_[tied, np.eye(4)[:, 2]], 2) == [1, 5]
+
+
 def test_decompose_validation():
     with pytest.raises(PreconditionError):
         decompose(np.eye(3), snap_tol=0.0)
