@@ -316,7 +316,7 @@ def perm_plus_rank_one(arr: np.ndarray):
     """
     n = arr.shape[0]
     cols, signs, snapped, residual = _sign_part(arr, 0.25)  # decompose's default snap_tol
-    if not snapped.all() or np.unique(cols).size != n:
+    if not snapped.all() or not np.array_equal(np.sort(cols), np.arange(n)):
         return None
     rank = numeric_rank(residual)
     if rank > 1:
