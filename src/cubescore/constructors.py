@@ -46,9 +46,6 @@ GAP_RANK_CAP = 10
 #: Largest GAP that properness checking / drawing will enumerate.
 GAP_SIZE_CAP = 10**6
 
-#: The GAP-perturbed constructor enumerates 2**(n-1) partial sums.
-GAP_PERTURBED_CAP = 25
-
 
 @dataclass(frozen=True, eq=False)
 class GapDescriptor:
@@ -298,7 +295,8 @@ def gap_perturbed_selector(
 
     Columns ``u_1 .. u_{n-1}`` are drawn uniformly from the GAP (which must
     be proper and enumerable); ``u_n`` is set to minus the modal value of
-    ``sum_{i<n} x_i u_i`` over all sign choices.  Whenever the partial sum
+    ``sum_{i<n} x_i u_i`` over all sign choices (:func:`_kernel.modal_signed_sum`,
+    whose walk refuses past ``RHO_N_CAP`` columns).  Whenever the partial sum
     hits that mode, the perturbation cancels and ``M x = F0 x`` lands in the
     hypercube, so the score is at least ``mode_count / 2**(n-1)``.
     """
@@ -306,8 +304,6 @@ def gap_perturbed_selector(
     n = base.shape[0]
     if n < 2:
         raise PreconditionError(f"n must be at least 2, got {n}")
-    if n > GAP_PERTURBED_CAP:
-        raise CapacityError(f"the GAP-perturbed construction is capped at n={GAP_PERTURBED_CAP}, got {n}")
     _check_selector_style(base)
     if not isinstance(gap, GapDescriptor):
         raise PreconditionError(f"gap must be a GapDescriptor, got {gap!r}")

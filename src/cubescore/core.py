@@ -16,9 +16,6 @@ import numpy as np
 #: Hard cap on exhaustive hypercube enumeration (2**30 points).
 ENUMERATION_CAP = 30
 
-#: Above this dimension numeric_rank switches from SVD to pivoted QR.
-SVD_DIM_LIMIT = 512
-
 
 class CubescoreError(Exception):
     """Base class for every error raised by this package."""
@@ -61,9 +58,9 @@ class ToleranceConfig:
     """Numeric tolerances used across the package.
 
     membership_tol bounds how far a coordinate may sit from +-1 while still
-    counting as a hypercube hit; rank_tol scales the singular-value (or
-    pivoted-QR) cutoff in :func:`numeric_rank`; psd_tol is the slack allowed
-    when checking eigenvalue sign conditions.
+    counting as a hypercube hit; rank_tol scales the singular-value cutoff
+    in :func:`numeric_rank`; psd_tol is the slack allowed when checking
+    eigenvalue sign conditions.
     """
 
     membership_tol: float = 1e-9
@@ -283,23 +280,13 @@ def antisymmetric_block(b, r: int, name: str) -> np.ndarray:
 
 
 def numeric_rank(m, rank_tol: float = DEFAULT_TOLERANCES.rank_tol) -> int:
-    """Numerical rank of ``m``.
-
-    Up to :data:`SVD_DIM_LIMIT` in each dimension the rank is the number of
-    singular values above ``rank_tol`` times the largest one.  Beyond that a
-    pivoted QR factorization is used instead, counting diagonal entries of
-    ``R`` above the same relative cutoff.
-    """
+    """Numerical rank of ``m``: the number of singular values above
+    ``rank_tol`` times the largest one."""
     arr = as_matrix(m)
     rank_tol = check_fraction(rank_tol, "rank_tol")
-    if max(arr.shape) <= SVD_DIM_LIMIT:
-        scale = np.linalg.svd(arr, compute_uv=False)
-    else:
-        import scipy.linalg
-
-        scale = np.abs(np.diag(scipy.linalg.qr(arr, mode="r", pivoting=True)[0]))
-    # both scales lead with their largest entry; a zero matrix has rank 0
-    return int(np.count_nonzero(scale > rank_tol * scale[0]))
+    sv = np.linalg.svd(arr, compute_uv=False)
+    # sv leads with the largest singular value; a zero matrix has rank 0
+    return int(np.count_nonzero(sv > rank_tol * sv[0]))
 
 
 def save_matrix(path, m) -> None:

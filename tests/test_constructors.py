@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -218,9 +219,10 @@ def test_gap_properness_detects_collisions():
 
 
 def test_gap_perturbed_cap(capsys, tmp_path):
-    # 2**25 partial sums at n=26, refused before any draw, and the CLI exits 2
+    # 26 equal rows of sums in [-25, 25] pass int64 as one key, so the modal
+    # sum walks the 25 drawn columns, past its cap, and the CLI exits 2
     gap = GapDescriptor(np.ones((1, 26)), (-1,), (1,))
-    with pytest.raises(CapacityError, match="capped at n=25"):
+    with pytest.raises(CapacityError, match="capped at n=24, got 25"):
         gap_perturbed_selector(np.eye(26), gap, 11)
     f0, gap_file = tmp_path / "f0.txt", tmp_path / "gap.json"
     save_matrix(f0, np.eye(26))
@@ -230,6 +232,18 @@ def test_gap_perturbed_cap(capsys, tmp_path):
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert json.loads(captured.err)["error"]["type"] == "CapacityError"
+
+
+def test_gap_perturbed_past_the_walk_on_one_coordinate():
+    # a GAP on e_0 makes every sum integer and nonzero in row 0 alone, so the
+    # integer histogram takes n=30: the mode is 0 over the k nonzero draws
+    n = 30
+    gap = GapDescriptor(np.eye(n)[:1], (-1,), (1,))
+    cert = gap_perturbed_selector(np.eye(n), gap, 11)
+    k = int(np.count_nonzero(cert.parameters["coefficients"]))
+    assert k == 17
+    assert cert.parameters["mode_count"] == 2 ** (n - 1 - k) * math.comb(k, k // 2) == 99_573_760
+    assert cert.claimed_score_lower_bound == 99_573_760 / 2 ** (n - 1)
 
 
 def test_too_fine_group_tol_is_not_an_improper_gap():

@@ -472,10 +472,14 @@ def test_the_split_reads_an_integer_t_with_a_unit_entry(rng):
 
 def test_exact_score_and_decompose_leave_scipy_and_numpy_ma_unloaded():
     # importing scipy.linalg costs about 220 ms and 29 MB, and numpy.ma, which
-    # np.unique loads when asked for the unique values alone, about 15 ms
+    # np.unique loads when asked for the unique values alone, about 15 ms;
+    # with scipy blocked any import of it fails, so the 600-row calls show
+    # that no size needs it
     code = """
 import sys
+sys.modules["scipy"] = None
 import numpy as np
+from cubescore.core import CapacityError, numeric_rank
 from cubescore.score import exact_score
 from cubescore.structure import decompose
 rng = np.random.default_rng(5)
@@ -487,6 +491,12 @@ exact_score(np.eye(40))
 decompose(r)
 decompose(np.eye(30) + 0.01 * rng.normal(size=(30, 3)) @ rng.normal(size=(3, 30)))
 decompose(rng.normal(size=(512, 512)))
-print("scipy" in sys.modules, "numpy.ma" in sys.modules)
+print(numeric_rank(rng.normal(size=(600, 7)) @ rng.normal(size=(7, 600))))
+print(decompose(np.eye(600) + 0.01 * rng.normal(size=(600, 3)) @ rng.normal(size=(3, 600))).residual_rank)
+try:
+    exact_score(np.eye(600))
+except CapacityError:
+    print("refused")
+print(sys.modules["scipy"], "numpy.ma" in sys.modules)
 """
-    assert run_python(code) == "False False\n"
+    assert run_python(code) == "7\n3\nrefused\nNone False\n"
