@@ -28,24 +28,28 @@ answers from it, and take the walk only where it declines: a non-integral
 entry, a row with ``sum_j |a_rj| >= 2**53``, a key range past ``int64``,
 ``n > 62`` or more than :data:`_INTEGER_STATES` states.  Past
 :data:`RHO_N_CAP` columns :func:`modal_signed_sum` does not walk.
-:func:`rank_one_window_hits` counts the hits of a :class:`Window` for a
-signed permutation plus an integer rank-one term from the same histogram,
-per value of the rank-one term's sum.
+For a signed permutation plus an integer rank-one term,
+:func:`rank_one_table` states which signs a :class:`Window` allows each
+coordinate, per value of the rank-one term's sum;
+:func:`rank_one_window_hits` counts the hits from the same histogram and
+:func:`rank_one_mc_hits` decides Monte Carlo samples from their bits.
 
-Every Monte Carlo statistic over sign vectors runs through
-:func:`mc_sign_blocks`.  Samples come in blocks of :func:`mc_rows` rows,
+Every Monte Carlo statistic over sign vectors draws its samples through
+:func:`mc_bit_blocks`.  Samples come in blocks of :func:`mc_rows` rows,
 each drawn from its own counter-based Philox substream (:func:`block_rng`).
 A block's signs are packed bits (:func:`sample_signs`): full-range
 ``uint64`` words read as little-endian bytes and unpacked low bit first, so
-one word gives 64 samples of one coordinate on any platform.  The block's
-image ``M @ x`` is the matrix product of ``[-2M | M 1]`` with the bits and a
-row of ones, into a scratch buffer that its reducer then overwrites in
-place.  Everything here is deterministic: fixed block layout, fixed visit
-order, per-block substreams, and products whose sums do not depend on
-OpenBLAS's thread count, which make results independent of how blocks are
-dispatched to threads.  While a thread pool runs, OpenBLAS runs
-single-threaded (:func:`_single_threaded_blas`), so the two kinds of thread
-do not compete for the same cores.
+one word gives 64 samples of one coordinate on any platform.  The dense
+engine, :func:`mc_sign_blocks`, forms the block's image ``M @ x`` as the
+matrix product of ``[-2M | M 1]`` with the bits and a row of ones, into a
+scratch buffer that its reducer then overwrites in place;
+:func:`rank_one_mc_hits` forms no image.  Everything here is
+deterministic: fixed block layout, fixed visit order, per-block substreams,
+and products whose sums do not depend on OpenBLAS's thread count, which make
+results independent of how blocks are dispatched to threads.  While a
+thread pool runs, OpenBLAS runs single-threaded
+(:func:`_single_threaded_blas`), so the two kinds of thread do not compete
+for the same cores.
 """
 
 from __future__ import annotations
@@ -319,23 +323,50 @@ def _ranges(begin: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def rank_one_window_hits(cols: np.ndarray, signs: np.ndarray, u: np.ndarray, v: np.ndarray,
                          bound: np.ndarray, window: Window) -> int | None:
     """Hits of ``window`` over all of ``{-1,+1}^n`` for ``M = S P + u v^T``
-    without the walk, or ``None`` where it declines.
+    without the walk, or ``None`` where :func:`rank_one_table` declines.
+
+    The hits with a live value of ``z = v . x`` are the sign choices with
+    ``v . x = z``, read from the histogram of the coordinates free to take
+    either sign.  One histogram serves every ``z`` with the same free
+    coordinates.
+    """
+    table = rank_one_table(cols, signs, u, v, bound, window)
+    if table is None:
+        return None
+    z, plus, minus = table
+    # the free coordinates must sum to z less the sum of the fixed ones
+    target = z - (plus.astype(np.int64) - minus) @ v
+    hits = 0
+    masks, group = np.unique(plus & minus, axis=0, return_inverse=True)
+    for g, mask in enumerate(masks):
+        sums, counts = integer_sum_counts(v[None, mask])
+        want = target[group.ravel() == g]
+        at = np.minimum(np.searchsorted(sums[:, 0], want), sums.shape[0] - 1)
+        hits += int(counts[at][sums[at, 0] == want].sum())
+    return hits
+
+
+def rank_one_table(cols: np.ndarray, signs: np.ndarray, u: np.ndarray, v: np.ndarray,
+                   bound: np.ndarray, window: Window) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The signs that ``window`` allows each coordinate, per value of ``z =
+    v . x``, for ``M = S P + u v^T``; ``None`` where it declines.
 
     Row ``i`` of ``S P`` holds ``signs[i]`` in column ``cols[i]``, a
     permutation, and ``v`` is an ``int64`` vector.  Then ``(Mx)_i =
-    signs[i] x[cols[i]] + u[i] z`` with ``z = v . x``.  For each value of
-    ``z`` that :func:`integer_sum_counts` finds, the window decides which
-    signs each coordinate may take; the hits with that ``z`` are the sign
-    choices with ``v . x = z``, read from the histogram of the coordinates
-    free to take either sign.  One histogram serves every ``z`` with the same
-    free coordinates.
+    signs[i] x[cols[i]] + u[i] z``, so for each value of ``z`` that
+    :func:`integer_sum_counts` finds, the window decides which signs each
+    coordinate may take.  Returns ``(z, plus, minus)`` for the live values
+    alone, those where every coordinate may take some sign: ``plus[k, j]``
+    (``minus[k, j]``) says whether coordinate ``j`` may be +1 (-1) when
+    ``v . x = z[k]``.  A vector is a hit exactly when its ``z`` is live and
+    each of its signs is allowed.
 
     ``bound[i]`` bounds how far a distance evaluated here may lie from the
-    one the walk would decide row ``i`` on.  Where any lies within it of
-    ``tol`` the answer is ``None``, so a count returned equals the walk's.
-    It is also ``None`` where the histogram declines or the table of
-    distances, one per value of ``z`` and row, would pass
-    :data:`_INTEGER_STATES` entries.
+    one the walk or :func:`mc_sign_blocks` would decide row ``i`` on.  Where
+    any lies within it of ``tol`` the answer is ``None``, so every vector is
+    decided as they decide it.  It is also ``None`` where the histogram
+    declines or the table of distances, one per value of ``z`` and row,
+    would pass :data:`_INTEGER_STATES` entries.
     """
     found = integer_sum_counts(v[None, :])
     if found is None or found[0].size * v.size > _INTEGER_STATES:
@@ -350,16 +381,52 @@ def rank_one_window_hits(cols: np.ndarray, signs: np.ndarray, u: np.ndarray, v: 
     plus[:, cols] = np.where(signs > 0, ok[0], ok[1])
     minus[:, cols] = np.where(signs > 0, ok[1], ok[0])
     live = (plus | minus).all(axis=1)
-    # the free coordinates must sum to z less the sum of the fixed ones
-    target = (z - (plus.astype(np.int64) - minus) @ v)[live]
-    hits = 0
-    masks, group = np.unique((plus & minus)[live], axis=0, return_inverse=True)
-    for g, mask in enumerate(masks):
-        sums, counts = integer_sum_counts(v[None, mask])
-        want = target[group.ravel() == g]
-        at = np.minimum(np.searchsorted(sums[:, 0], want), sums.shape[0] - 1)
-        hits += int(counts[at][sums[at, 0] == want].sum())
-    return hits
+    return z[live], plus[live], minus[live]
+
+
+def rank_one_mc_hits(cols: np.ndarray, signs: np.ndarray, u: np.ndarray, v: np.ndarray, bound: np.ndarray,
+                     window: Window, samples: int, seed: int, threads: int = 1) -> int | None:
+    """Hits of ``window`` among the Monte Carlo samples of ``M = S P + u
+    v^T``, decided from each sample's sign bits, or ``None`` where it
+    declines.
+
+    The samples are :func:`mc_sign_blocks`' draws, and :func:`rank_one_table`
+    decides each one as that engine's product and ``window`` would, so the
+    count is the engine's for every seed, sample count and thread count.
+    Per block, ``z = v . x`` comes from per-weight sums of bit rows.  A live
+    ``z`` whose coordinates are all free counts the samples with that ``z``;
+    another checks its fixed coordinates on those samples alone.  Each live
+    ``z`` costs one pass over the block, so more of them than coordinates
+    decline to the engine, whose product makes about ``n`` passes per row.
+    """
+    table = rank_one_table(cols, signs, u, v, bound, window)
+    if table is None or table[0].size > v.size:
+        return None
+    zs, plus, minus = table
+    n = v.size
+    # a sample's z is v . (1 - 2 bits) = sum(v) - 2 q with q = v . bits, which
+    # the smallest signed type holding +-sum|v| carries
+    key = np.min_scalar_type(-int(np.abs(v).sum()))
+    weights = [(key.type(w), np.flatnonzero(v == w)) for w in np.unique(v[v != 0]).tolist()]
+    live = []  # per live z: its q, the coordinates with one allowed sign and the bit each needs
+    for k, z in enumerate(zs.tolist()):
+        fixed = np.flatnonzero(plus[k] != minus[k])
+        live.append(((int(v.sum()) - z) // 2, fixed, minus[k, fixed, None]))
+
+    def block_hits(bits: np.ndarray) -> int:
+        q = np.zeros(bits.shape[1], key)
+        for w, rows in weights:
+            q += w * (bits if rows.size == n else bits[rows]).sum(axis=0, dtype=np.uint8)
+        hits = 0
+        for qk, fixed, need in live:
+            if fixed.size == 0:
+                hits += int(np.count_nonzero(q == qk))
+            else:
+                at = np.flatnonzero(q == qk)
+                hits += int(np.count_nonzero((bits[np.ix_(fixed, at)] == need).all(axis=0)))
+        return hits
+
+    return int(sum(mc_bit_blocks(samples, n, seed, block_hits, threads)))
 
 
 def parity_product_sum(m: np.ndarray, *, half: bool = False, members: bool = False) -> float:
@@ -531,6 +598,14 @@ def map_sample_blocks(fn: Callable[[int, int], object], samples: int, n: int, th
     return map_blocks(lambda i: fn(i, min(block, samples - i * block)), -(-samples // block), threads)
 
 
+def mc_bit_blocks(samples: int, n: int, seed: int, stat: Callable[[np.ndarray], object], threads: int = 1) -> list:
+    """``stat(bits)`` for every block of ``samples`` uniform sign-vector
+    samples in ``n`` coordinates, in block order: ``bits`` is the block's
+    :func:`sample_signs` array, drawn from its own substream
+    (:func:`block_rng`)."""
+    return map_sample_blocks(lambda i, rows: stat(sample_signs(block_rng(seed, i), rows, n)), samples, n, threads)
+
+
 def mc_sign_blocks(
     m: np.ndarray,
     samples: int,
@@ -538,15 +613,14 @@ def mc_sign_blocks(
     stat: Callable[[np.ndarray, np.ndarray], object],
     threads: int = 1,
 ) -> list:
-    """``stat(y, bits)`` for every block of uniform sign-vector samples, in
-    block order.
+    """``stat(y, bits)`` for every block of :func:`mc_bit_blocks`, in block
+    order.
 
-    ``bits`` is the block's :func:`sample_signs` array and ``y`` the
-    ``(rows_of_M, block_rows)`` image ``M @ (1 - 2*bits)``, computed as the
-    matrix product ``[-2M | M 1] @ [bits; 1]`` into a scratch buffer owned
-    by the pool thread; ``stat`` may overwrite ``y`` but not keep it.  Every
-    block is drawn from its own substream and multiplied by itself, so the
-    thread count never changes a number.
+    ``y`` is the ``(rows_of_M, block_rows)`` image ``M @ (1 - 2*bits)``,
+    computed as the matrix product ``[-2M | M 1] @ [bits; 1]`` into a
+    scratch buffer owned by the pool thread; ``stat`` may overwrite ``y``
+    but not keep it.  Every block is drawn from its own substream and
+    multiplied by itself, so the thread count never changes a number.
 
     The product does not depend on OpenBLAS's own thread count either, which
     is lower inside a thread pool: it covers whole 64-sample words, because
@@ -558,12 +632,12 @@ def mc_sign_blocks(
     width = -(-min(mc_rows(n), samples) // 64) * 64  # the widest block, in whole words
     scratch = threading.local()
 
-    def one_block(i: int, rows: int):
-        bits = sample_signs(block_rng(seed, i), rows, n)
+    def one_block(bits: np.ndarray):
         if not hasattr(scratch, "x"):
             scratch.x = np.ones((n + 1, width))  # the last row stays 1
             scratch.y = np.empty((mrows, width))
             scratch.part = np.empty((mrows, width)) if n >= _MC_DEPTH else None
+        rows = bits.shape[1]
         cols = -(-rows // 64) * 64  # whole words; the columns past rows hold finite leftovers
         x, y = scratch.x[:, :cols], scratch.y[:, :cols]
         x[:n, :rows] = bits
@@ -574,7 +648,7 @@ def mc_sign_blocks(
             y += part
         return stat(y[:, :rows], bits)
 
-    return map_sample_blocks(one_block, samples, n, threads)
+    return mc_bit_blocks(samples, n, seed, one_block, threads)
 
 
 def binomial_estimate(hits: int, samples: int) -> tuple[float, float]:

@@ -21,6 +21,7 @@ from .core import (
     _is_number,
     as_matrix,
     check_fraction,
+    check_int,
 )
 from .structure import perm_plus_rank_one
 
@@ -73,25 +74,44 @@ def exact_score(m, tol: float = DEFAULT_TOLERANCES.membership_tol) -> ScoreRepor
     arr = as_matrix(m, square=True)
     tol = check_fraction(tol)
     window = _kernel.Window(1.0, tol)
-    hits = _structured_hits(arr, window)
+    split = _rank_one_split(arr)
+    hits = None if split is None else _kernel.rank_one_window_hits(*split, window)
     if hits is None:
         hits = _kernel.count_signs(arr, window)[0]
     total = 1 << arr.shape[0]
     return ScoreReport(hits, total, hits / total, 0.0, "exact", tol)
 
 
-def _structured_hits(arr: np.ndarray, window: _kernel.Window) -> int | None:
-    # the split of M, if any, and a bound per row on how far each distance
-    # evaluated from it may lie from the walk's: the split's own error, the
-    # walk's rounding (gamma_n times the row's l1-norm) and the rounding of
-    # the split, of u_i z with |z| <= sum |v| and of ||s + u_i z| - 1|
+def _rank_one_split(arr: np.ndarray):
+    """``(cols, signs, u, v, bound)`` for :func:`structure.perm_plus_rank_one`'s
+    split of ``M``, or ``None`` where it has none: the input of
+    :func:`_kernel.rank_one_table`, for the exact and the Monte Carlo score."""
+    # bound[i] bounds how far a distance evaluated from the split may lie
+    # from the one that the walk or the Monte Carlo block product decides row
+    # i on.  Write S_i = sum_j |m_ij| and r_i for the row sum as numpy
+    # evaluates it.  A sum of k terms, in any order, errs by at most gamma_k =
+    # k (eps/2) / (1 - k eps/2) <= k eps times the sum of their magnitudes
+    # (Higham, Accuracy and Stability of Numerical Algorithms, ch. 4):
+    # - the walk forms (Mx)_i from n terms +-m_ij, and errs by gamma_n S_i;
+    # - the block product forms r_i - 2 sum_j m_ij b_j from n + 1 terms of
+    #   [-2M | r], each exact as every bit b_j is 0 or 1, and errs by
+    #   gamma_{n+1} (2 S_i + |r_i|), on top of r_i's own gamma_n S_i.
+    # Either way add the split's error, error_i, whose sum errs by gamma_n
+    # error_i, and a few roundings of the row's scale S_i + error_i + 2 +
+    # |u_i| sum_j |v_j|: forming E = M - S P - u v^T, then u_i z (|z| <= sum_j
+    # |v_j|), +-1 + u_i z and each side's ||y| - 1|.  (n + 4) eps times the
+    # scale covers gamma_n S_i with all of these, and (n + 1) eps (2 S_i +
+    # |r_i|) adds the block product's own term.
     split = perm_plus_rank_one(arr)
     if split is None:
         return None
     cols, signs, u, v, error = split
-    scale = np.abs(arr).sum(axis=1) + error + 2.0 + np.abs(u) * float(np.abs(v).sum())
-    bound = error + (arr.shape[0] + 4) * np.finfo(float).eps * scale
-    return _kernel.rank_one_window_hits(cols, signs, u, v, bound, window)
+    n = arr.shape[0]
+    l1 = np.abs(arr).sum(axis=1)
+    scale = l1 + error + 2.0 + np.abs(u) * float(np.abs(v).sum())
+    product = (n + 1) * (2.0 * l1 + np.abs(arr.sum(axis=1)))
+    bound = error + np.finfo(float).eps * ((n + 4) * scale + product)
+    return cols, signs, u, v, bound
 
 
 def exact_hit_indices(m, tol: float = DEFAULT_TOLERANCES.membership_tol) -> np.ndarray:
@@ -113,12 +133,24 @@ def mc_score(
 
     Uses one Philox substream per fixed-size sample block, so a rerun with
     the same seed and sample count reproduces the estimate bit for bit
-    regardless of ``threads``.
+    regardless of ``threads``.  A signed permutation plus an integer
+    rank-one term decides each sample from its sign bits, with the rule
+    :func:`exact_score` counts by (:func:`_kernel.rank_one_mc_hits`), and
+    no image is formed; every other matrix, and any sample that rule could
+    decide differently, takes the block product of
+    :func:`_kernel.mc_sign_blocks`.  The hit count is the block product's
+    either way.
     """
     arr = as_matrix(m, square=True)
     tol = check_fraction(tol)
-    hits, total, stderr = _kernel.count_signs(arr, _kernel.Window(1.0, tol), "mc", samples, seed, threads)
-    return ScoreReport(hits, total, hits / total, stderr, "monte_carlo", tol)
+    samples, seed = _kernel.check_mode("mc", samples, seed)
+    threads = check_int(threads, "threads", 1)
+    window = _kernel.Window(1.0, tol)
+    split = _rank_one_split(arr)
+    hits = None if split is None else _kernel.rank_one_mc_hits(*split, window, samples, seed, threads)
+    if hits is None:
+        hits = _kernel.count_signs(arr, window, "mc", samples, seed, threads)[0]
+    return ScoreReport(hits, samples, hits / samples, _kernel.binomial_estimate(hits, samples)[1], "monte_carlo", tol)
 
 
 def threshold_score(

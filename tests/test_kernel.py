@@ -582,3 +582,14 @@ def test_block_images_do_not_follow_the_blas_thread_count(n):
     )
     one, two = (run_python(code, OPENBLAS_NUM_THREADS=k) for k in ("1", "2"))
     assert one == two
+
+
+def test_bit_blocks_are_the_engines_draws():
+    # the structured Monte Carlo count reads the same sign bits that the
+    # dense engine multiplies, block for block and at any thread count
+    n, samples = 9, _kernel.MC_BLOCK + 100
+    dense = _kernel.mc_sign_blocks(np.eye(n), samples, 3, lambda y, bits: bits.copy())
+    for threads in (1, 2):
+        bits = _kernel.mc_bit_blocks(samples, n, 3, np.copy, threads)
+        assert len(bits) == len(dense) == 2
+        assert all(np.array_equal(a, b) for a, b in zip(bits, dense))

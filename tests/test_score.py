@@ -500,3 +500,131 @@ except CapacityError:
 print(sys.modules["scipy"], "numpy.ma" in sys.modules)
 """
     assert run_python(code) == "7\n3\nrefused\nNone False\n"
+
+
+@pytest.fixture
+def dense_mc(monkeypatch):
+    """One entry per run of the dense Monte Carlo engine."""
+    seen = []
+    engine = _kernel.mc_sign_blocks
+
+    def spy(*args):
+        seen.append(args[:3])
+        return engine(*args)
+
+    monkeypatch.setattr(_kernel, "mc_sign_blocks", spy)
+    return seen
+
+
+def dense_mc_hits(m, samples, seed, threads=1, tol=1e-9):
+    return _kernel.count_signs(m, _kernel.Window(1.0, tol), "mc", samples, seed, threads)[0]
+
+
+def structured_mc(dense_mc, m, samples, seed, threads=1, tol=1e-9):
+    """``mc_score``'s hit count, or ``None`` where the dense engine ran."""
+    dense_mc.clear()
+    hits = mc_score(m, samples, seed, tol, threads).hit_count
+    return None if dense_mc else hits
+
+
+#: Sample counts at block edges: one sample, a ragged last word, one past a
+#: full block, and three full blocks plus a ragged one.
+EDGE_SAMPLES = (1, 63, _kernel.MC_BLOCK + 1, 3 * _kernel.MC_BLOCK + 5)
+
+
+def test_structured_mc_matches_the_dense_engine(rng, dense_mc):
+    # signed permutations (score 1) and signed-permuted reflections decide
+    # every sample from its bits, and count what the dense engine counts
+    perms = [np.eye(n)[rng.permutation(n)] * rng.choice([-1.0, 1.0], size=n) for n in (1, 7, 20, 62)]
+    reflections = [signed_rows(rng, reflected_ones(n)) for n in [*range(2, 21), 40, 62]]
+    for i, m in enumerate(perms + reflections):
+        n = m.shape[0]
+        samples, threads = EDGE_SAMPLES[i % 4], 1 + (i // 4) % 2
+        hits = structured_mc(dense_mc, m, samples, i, threads)
+        if hits is None:
+            # the reflection's diagonal 1 - 2/n snaps to 1 from n=8 on, and
+            # I - J at n=2 is a signed permutation
+            assert i >= len(perms) and 3 <= n <= 7
+        else:
+            assert hits == dense_mc_hits(m, samples, i, threads), (n, samples, threads)
+    assert structured_mc(dense_mc, perms[2], 1000, 3) == 1000
+
+
+def test_structured_mc_checks_the_fixed_coordinates(rng, dense_mc):
+    # row 0 of I - 0.2 e_0 1^T at n=20 is x_0 - 0.2 z with z = sum(x): a
+    # hit needs z = 0, or z = 10 x_0, which fixes coordinate 0 alone, so
+    # about half the samples with z = +-10 miss
+    n = 20
+    m = np.eye(n)
+    m[0] -= 0.2
+    m = signed_rows(rng, m)
+    for samples, threads in zip(EDGE_SAMPLES, (1, 2, 1, 2)):
+        hits = structured_mc(dense_mc, m, samples, 6, threads)
+        assert hits == dense_mc_hits(m, samples, 6, threads)
+    # the same count from the bits themselves
+    x = 1 - 2 * np.concatenate(_kernel.mc_bit_blocks(EDGE_SAMPLES[-1], n, 6, np.copy), axis=1).astype(int)
+    z = x.sum(axis=0)
+    assert hits == np.count_nonzero(z == 0) + np.count_nonzero(z == 10 * x[0])
+    assert np.count_nonzero(z == 0) < hits < np.count_nonzero((z == 0) | (np.abs(z) == 10))
+
+
+@pytest.mark.parametrize("samples", EDGE_SAMPLES)
+def test_structured_mc_is_the_dense_engine_at_every_block_edge(rng, dense_mc, samples):
+    m = signed_rows(rng, reflected_ones(20))
+    for threads in (1, 2):
+        hits = structured_mc(dense_mc, m, samples, 17, threads)
+        assert hits == dense_mc_hits(m, samples, 17, threads)
+
+
+def test_structured_mc_of_rank_one_orthogonals_matches_the_dense_engine(rng, dense_mc):
+    # integer t in [-3, 3]: many do not split, and those take the engine
+    taken = set()
+    for n in range(2, 31):
+        for _ in range(3):
+            t = rng.integers(-3, 4, size=n).astype(float)
+            t[0] = 1.0
+            m = signed_rows(rng, rank_one_orthogonal(n, t).matrix)
+            seed = int(rng.integers(1 << 31))
+            for tol in (1e-9, 0.3):
+                hits = structured_mc(dense_mc, m, 4000, seed, 2, tol)
+                assert mc_score(m, 4000, seed, tol).hit_count == dense_mc_hits(m, 4000, seed, 1, tol)
+                if hits is not None:
+                    assert hits == dense_mc_hits(m, 4000, seed, 2, tol)
+                    taken.add(n)
+    assert len(taken) >= 15
+
+
+def test_structured_mc_reflection_past_the_walk_without_the_engine(rng, monkeypatch):
+    monkeypatch.setattr(_kernel, "mc_sign_blocks", _no_walk)
+    n, samples = 62, 200_000
+    rep = mc_score(signed_rows(rng, reflected_ones(n)), samples, 8)
+    p = (math.comb(n, n // 2) + 2) / 2**n
+    assert rep.total == samples and rep.stderr > 0
+    assert abs(rep.score - p) <= 5.0 * math.sqrt(p * (1 - p) / samples)
+
+
+def test_structured_mc_declines_to_the_dense_engine(rng, dense_mc):
+    # I - J/2 at n=4 (the score-mc recording's matrix) does not snap
+    halves = np.eye(4) - 0.5
+    assert structured_mc(dense_mc, halves, 70000, 9, 2) is None
+    assert mc_score(halves, 70000, 9, threads=2).hit_count == 35038
+    n = 16
+    s = np.eye(n)[rng.permutation(n)]
+    rank_two = s + 0.01 * np.outer(rng.normal(size=n), rng.normal(size=n)) \
+        + 0.01 * np.outer(rng.normal(size=n), rng.normal(size=n))
+    non_integer = signed_rows(rng, rank_one_orthogonal(20, np.r_[1.0, 1.5, np.ones(18)]).matrix)
+    for m, tol in ((rank_two, 0.1), (non_integer, 1e-9), (reflected_ones(10), 0.4)):
+        # I - J/5 at n=10 puts every row 0.4 from +-1 at z = +-2, on tol
+        assert structured_mc(dense_mc, m, 5000, 4, 1, tol) is None
+        assert dense_mc[0][1:] == (5000, 4)
+        assert mc_score(m, 5000, 4, tol).hit_count == dense_mc_hits(m, 5000, 4, 1, tol)
+    assert structured_mc(dense_mc, reflected_ones(10), 5000, 4, 1, 0.4 + 1e-6) is not None
+
+
+def test_structured_mc_refuses_as_the_dense_engine(rng):
+    m = signed_rows(rng, reflected_ones(20))
+    for kwargs, message in (({"samples": 0}, "samples must be a positive integer, got 0"),
+                            ({"seed": 2**128}, r"seed must be an integer in \[0, 2\*\*128\)"),
+                            ({"threads": 0}, "threads must be a positive integer, got 0")):
+        with pytest.raises(PreconditionError, match=message):
+            mc_score(m, **{"samples": 10, "seed": 1, **kwargs})
