@@ -407,7 +407,7 @@ def rank_one_mc_hits(cols: np.ndarray, signs: np.ndarray, u: np.ndarray, v: np.n
     # a sample's z is v . (1 - 2 bits) = sum(v) - 2 q with q = v . bits, which
     # the smallest signed type holding +-sum|v| carries
     key = np.min_scalar_type(-int(np.abs(v).sum()))
-    weights = [(key.type(w), np.flatnonzero(v == w)) for w in np.unique(v[v != 0]).tolist()]
+    weights = [(key.type(w), np.flatnonzero(v == w)) for w in sorted(set(v.tolist()) - {0})]
     live = []  # per live z: its q, the coordinates with one allowed sign and the bit each needs
     for k, z in enumerate(zs.tolist()):
         fixed = np.flatnonzero(plus[k] != minus[k])
