@@ -408,15 +408,16 @@ def rank_one_mc_hits(cols: np.ndarray, signs: np.ndarray, u: np.ndarray, v: np.n
     # the smallest signed type holding +-sum|v| carries
     key = np.min_scalar_type(-int(np.abs(v).sum()))
     weights = [(key.type(w), np.flatnonzero(v == w)) for w in sorted(set(v.tolist()) - {0})]
+    total = int(v.sum())
     live = []  # per live z: its q, the coordinates with one allowed sign and the bit each needs
     for k, z in enumerate(zs.tolist()):
         fixed = np.flatnonzero(plus[k] != minus[k])
-        live.append(((int(v.sum()) - z) // 2, fixed, minus[k, fixed, None]))
+        live.append(((total - z) // 2, fixed, minus[k, fixed, None]))
 
     def block_hits(bits: np.ndarray) -> int:
         q = np.zeros(bits.shape[1], key)
         for w, rows in weights:
-            q += w * (bits if rows.size == n else bits[rows]).sum(axis=0, dtype=np.uint8)
+            q += (bits if rows.size == n else bits[rows]).sum(axis=0, dtype=np.uint8).astype(key) * w
         hits = 0
         for qk, fixed, need in live:
             if fixed.size == 0:
@@ -598,12 +599,16 @@ def map_sample_blocks(fn: Callable[[int, int], object], samples: int, n: int, th
     return map_blocks(lambda i: fn(i, min(block, samples - i * block)), -(-samples // block), threads)
 
 
-def mc_bit_blocks(samples: int, n: int, seed: int, stat: Callable[[np.ndarray], object], threads: int = 1) -> list:
+def mc_bit_blocks(samples: int, n: int, seed: int, stat: Callable[[np.ndarray], object],
+                  threads: int = 1) -> list:
     """``stat(bits)`` for every block of ``samples`` uniform sign-vector
     samples in ``n`` coordinates, in block order: ``bits`` is the block's
     :func:`sample_signs` array, drawn from its own substream
     (:func:`block_rng`)."""
-    return map_sample_blocks(lambda i, rows: stat(sample_signs(block_rng(seed, i), rows, n)), samples, n, threads)
+    def one_block(i: int, rows: int):
+        return stat(sample_signs(block_rng(seed, i), rows, n))
+
+    return map_sample_blocks(one_block, samples, n, threads)
 
 
 def mc_sign_blocks(

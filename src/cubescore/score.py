@@ -102,11 +102,13 @@ def _rank_one_split(arr: np.ndarray):
     # |v_j|), +-1 + u_i z and each side's ||y| - 1|.  (n + 4) eps times the
     # scale covers gamma_n S_i with all of these, and (n + 1) eps (2 S_i +
     # |r_i|) adds the block product's own term.
+    n = arr.shape[0]
+    if n > 62:  # the table's histogram declines past 62 coordinates, so skip the split's SVD
+        return None
     split = perm_plus_rank_one(arr)
     if split is None:
         return None
     cols, signs, u, v, error = split
-    n = arr.shape[0]
     l1 = np.abs(arr).sum(axis=1)
     scale = l1 + error + 2.0 + np.abs(u) * float(np.abs(v).sum())
     product = (n + 1) * (2.0 * l1 + np.abs(arr.sum(axis=1)))
@@ -134,11 +136,12 @@ def mc_score(
     Uses one Philox substream per fixed-size sample block, so a rerun with
     the same seed and sample count reproduces the estimate bit for bit
     regardless of ``threads``.  A signed permutation plus an integer
-    rank-one term decides each sample from its sign bits, with the rule
-    :func:`exact_score` counts by (:func:`_kernel.rank_one_mc_hits`), and
-    no image is formed; every other matrix, and any sample that rule could
-    decide differently, takes the block product of
-    :func:`_kernel.mc_sign_blocks`.  The hit count is the block product's
+    rank-one term decides each sample from its sign bits, by the rule that
+    :func:`exact_score` counts with, and forms no image
+    (:func:`_kernel.rank_one_mc_hits`).  Every other matrix takes the block
+    product of :func:`_kernel.mc_sign_blocks`, and so does one of that form
+    where a distance of the rule lies within rounding of ``tol`` or the rule
+    would cost more than the product.  The hit count is the block product's
     either way.
     """
     arr = as_matrix(m, square=True)
@@ -150,7 +153,8 @@ def mc_score(
     hits = None if split is None else _kernel.rank_one_mc_hits(*split, window, samples, seed, threads)
     if hits is None:
         hits = _kernel.count_signs(arr, window, "mc", samples, seed, threads)[0]
-    return ScoreReport(hits, samples, hits / samples, _kernel.binomial_estimate(hits, samples)[1], "monte_carlo", tol)
+    stderr = _kernel.binomial_estimate(hits, samples)[1]
+    return ScoreReport(hits, samples, hits / samples, stderr, "monte_carlo", tol)
 
 
 def threshold_score(

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cubescore import _json, _kernel
+from cubescore import _json, _kernel, score
 from cubescore.constructors import perm_reflection, rank_one_orthogonal, selector_matrix
 from cubescore.core import CapacityError, PreconditionError
 from cubescore.score import (
@@ -613,11 +613,25 @@ def test_structured_mc_declines_to_the_dense_engine(rng, dense_mc):
     rank_two = s + 0.01 * np.outer(rng.normal(size=n), rng.normal(size=n)) \
         + 0.01 * np.outer(rng.normal(size=n), rng.normal(size=n))
     non_integer = signed_rows(rng, rank_one_orthogonal(20, np.r_[1.0, 1.5, np.ones(18)]).matrix)
-    for m, tol in ((rank_two, 0.1), (non_integer, 1e-9), (reflected_ones(10), 0.4)):
-        # I - J/5 at n=10 puts every row 0.4 from +-1 at z = +-2, on tol
+    # I - J/5 at n=10 puts every row 0.4 from +-1 at z = +-2, on tol; all 21
+    # values of z = sum(x) allow a hit of I + J/100 at n=20, more than its
+    # 20 coordinates
+    for m, tol in ((rank_two, 0.1), (non_integer, 1e-9), (reflected_ones(10), 0.4), (np.eye(20) + 0.01, 0.3)):
         assert structured_mc(dense_mc, m, 5000, 4, 1, tol) is None
         assert mc_score(m, 5000, 4, tol).hit_count == dense_mc_hits(m, 5000, 4, 1, tol)
     assert structured_mc(dense_mc, reflected_ones(10), 5000, 4, 1, 0.4 + 1e-6) is not None
+
+
+def test_no_split_past_the_histograms_limit(monkeypatch):
+    # integer_sum_counts declines n > 62, so neither score splits a matrix
+    # that wide: a snapping one of 600 rows would pay a 600 x 600 SVD first
+    def no_split(arr):
+        raise AssertionError("split a matrix past the histogram's limit")
+
+    monkeypatch.setattr(score, "perm_plus_rank_one", no_split)
+    assert mc_score(np.eye(63), 100, 1).hit_count == 100
+    with pytest.raises(CapacityError):
+        exact_score(np.eye(63))
 
 
 def test_structured_mc_refuses_as_the_dense_engine(rng):
