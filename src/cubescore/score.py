@@ -21,7 +21,6 @@ from .core import (
     _is_number,
     as_matrix,
     check_fraction,
-    check_int,
 )
 from .structure import perm_plus_rank_one
 
@@ -103,7 +102,7 @@ def _rank_one_split(arr: np.ndarray):
     # scale covers gamma_n S_i with all of these, and (n + 1) eps (2 S_i +
     # |r_i|) adds the block product's own term.
     n = arr.shape[0]
-    if n > 62:  # the table's histogram declines past 62 coordinates, so skip the split's SVD
+    if not _kernel.counts_fit(n):  # the table's histogram would decline, so skip the split's SVD
         return None
     split = perm_plus_rank_one(arr)
     if split is None:
@@ -140,21 +139,20 @@ def mc_score(
     :func:`exact_score` counts with, and forms no image
     (:func:`_kernel.rank_one_mc_hits`).  Every other matrix takes the block
     product of :func:`_kernel.mc_sign_blocks`, and so does one of that form
-    where a distance of the rule lies within rounding of ``tol`` or the rule
-    would cost more than the product.  The hit count is the block product's
-    either way.
+    where a distance of the rule lies within rounding of ``tol`` or more
+    than ``8 n`` values of ``z`` allow a hit, a timed cutoff.  The hit count
+    is the block product's either way.
     """
     arr = as_matrix(m, square=True)
     tol = check_fraction(tol)
-    samples, seed = _kernel.check_mode("mc", samples, seed)
-    threads = check_int(threads, "threads", 1)
     window = _kernel.Window(1.0, tol)
-    split = _rank_one_split(arr)
-    hits = None if split is None else _kernel.rank_one_mc_hits(*split, window, samples, seed, threads)
-    if hits is None:
-        hits = _kernel.count_signs(arr, window, "mc", samples, seed, threads)[0]
-    stderr = _kernel.binomial_estimate(hits, samples)[1]
-    return ScoreReport(hits, samples, hits / samples, stderr, "monte_carlo", tol)
+
+    def structured(samples: int, seed: int, threads: int) -> int | None:
+        split = _rank_one_split(arr)
+        return None if split is None else _kernel.rank_one_mc_hits(*split, window, samples, seed, threads)
+
+    hits, total, stderr = _kernel.count_signs(arr, window, "mc", samples, seed, threads, structured)
+    return ScoreReport(hits, total, hits / total, stderr, "monte_carlo", tol)
 
 
 def threshold_score(

@@ -551,6 +551,23 @@ def test_structured_mc_matches_the_dense_engine(rng, dense_mc):
     assert structured_mc(dense_mc, perms[2], 1000, 3) == 1000
 
 
+@pytest.mark.parametrize("weights, scale", [([1, 15] + [14] * 8, 64), ([1] + [3641] * 7 + [3640] * 2, 16384)])
+def test_structured_mc_sums_reach_a_signed_types_edge(dense_mc, weights, scale):
+    # -I + 1 v^T / (sum v / 2) with v >= 0: a hit needs z = 0, or z = +-sum v
+    # with every x_i = sign z, and the sample with every bit set has v . bits
+    # = sum v, here 128 or 32768, one past int8 or int16
+    n = len(weights)
+    m = -np.eye(n) + np.outer(np.ones(n), weights) / scale
+    assert sum(weights) == 2 * scale
+    for samples, threads in ((_kernel.MC_BLOCK + 1, 1), (3 * _kernel.MC_BLOCK + 5, 2)):
+        hits = structured_mc(dense_mc, m, samples, 5, threads)
+        assert hits == dense_mc_hits(m, samples, 5, threads)
+    x = 1 - 2 * np.concatenate(_kernel.mc_bit_blocks(samples, n, 5, np.copy), axis=1).astype(int)
+    z = np.array(weights) @ x
+    assert hits == np.count_nonzero(z == 0) + np.count_nonzero(np.abs(z) == 2 * scale)
+    assert np.count_nonzero(z == 2 * scale) > 0
+
+
 def test_structured_mc_checks_the_fixed_coordinates(rng, dense_mc):
     # row 0 of I - 0.2 e_0 1^T at n=20 is x_0 - 0.2 z with z = sum(x): a
     # hit needs z = 0, or z = 10 x_0, which fixes coordinate 0 alone, so
@@ -613,13 +630,20 @@ def test_structured_mc_declines_to_the_dense_engine(rng, dense_mc):
     rank_two = s + 0.01 * np.outer(rng.normal(size=n), rng.normal(size=n)) \
         + 0.01 * np.outer(rng.normal(size=n), rng.normal(size=n))
     non_integer = signed_rows(rng, rank_one_orthogonal(20, np.r_[1.0, 1.5, np.ones(18)]).matrix)
-    # I - J/5 at n=10 puts every row 0.4 from +-1 at z = +-2, on tol; all 21
-    # values of z = sum(x) allow a hit of I + J/100 at n=20, more than its
-    # 20 coordinates
-    for m, tol in ((rank_two, 0.1), (non_integer, 1e-9), (reflected_ones(10), 0.4), (np.eye(20) + 0.01, 0.3)):
+    # I - J/5 at n=10 puts every row 0.4 from +-1 at z = +-2, on tol; all 256
+    # values of z = v . x allow a hit of I + c 1 v^T with v = (1, 2, .., 128)
+    # at n=8, more than 8 n
+    powers = np.eye(8) + 0.3 / 255.5 * np.outer(np.ones(8), 2.0 ** np.arange(8))
+    for m, tol in ((rank_two, 0.1), (non_integer, 1e-9), (reflected_ones(10), 0.4), (powers, 0.3)):
         assert structured_mc(dense_mc, m, 5000, 4, 1, tol) is None
         assert mc_score(m, 5000, 4, tol).hit_count == dense_mc_hits(m, 5000, 4, 1, tol)
     assert structured_mc(dense_mc, reflected_ones(10), 5000, 4, 1, 0.4 + 1e-6) is not None
+    # 101 values of z allow a hit with v = (1, 2, .., 20) and c = 0.3 / 100.5
+    # at n=20, and 21 of I + J/100 (every one), all with free coordinates:
+    # at most 8 n, so the bits decide
+    for m in (np.eye(20) + 0.3 / 100.5 * np.outer(np.ones(20), np.arange(1.0, 21)), np.eye(20) + 0.01):
+        hits = structured_mc(dense_mc, m, 5000, 4, 1, 0.3)
+        assert hits == dense_mc_hits(m, 5000, 4, 1, 0.3) > 0
 
 
 def test_no_split_past_the_histograms_limit(monkeypatch):
