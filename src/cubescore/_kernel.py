@@ -404,10 +404,10 @@ def rank_one_mc_hits(cols: np.ndarray, signs: np.ndarray, u: np.ndarray, v: np.n
     ``z`` whose coordinates are all free counts the samples with that ``z``;
     another checks its fixed coordinates on those samples alone.  Each live
     ``z`` costs a pass over the block, and more of them than ``8 n`` decline
-    to the engine: timed at ``n`` = 8 to 62 over ``2**20`` samples, this
-    path was at least 1.2 times as fast up to ``10 n`` live values, and the
-    engine overtook it past about ``18 n`` where most of them fix a
-    coordinate, ``30 n`` where none does.
+    to the engine: timed at ``n`` = 8 to 62 over ``2**20`` samples on one
+    thread of a 2-core Xeon, this path was at least 1.2 times as fast up to
+    ``10 n`` live values, and the engine overtook it past about ``18 n``
+    where most of them fix a coordinate, ``30 n`` where none does.
     """
     table = rank_one_table(cols, signs, u, v, bound, window)
     if table is None or table[0].size > 8 * v.size:

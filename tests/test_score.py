@@ -549,23 +549,13 @@ def test_structured_mc_matches_the_dense_engine(rng, dense_mc):
         else:
             assert hits == dense_mc_hits(m, samples, i, threads), (n, samples, threads)
     assert structured_mc(dense_mc, perms[2], 1000, 3) == 1000
-
-
-@pytest.mark.parametrize("weights, scale", [([1, 15] + [14] * 8, 64), ([1] + [3641] * 7 + [3640] * 2, 16384)])
-def test_structured_mc_sums_reach_a_signed_types_edge(dense_mc, weights, scale):
-    # -I + 1 v^T / (sum v / 2) with v >= 0: a hit needs z = 0, or z = +-sum v
-    # with every x_i = sign z, and the sample with every bit set has v . bits
-    # = sum v, here 128 or 32768, one past int8 or int16
-    n = len(weights)
-    m = -np.eye(n) + np.outer(np.ones(n), weights) / scale
-    assert sum(weights) == 2 * scale
-    for samples, threads in ((_kernel.MC_BLOCK + 1, 1), (3 * _kernel.MC_BLOCK + 5, 2)):
-        hits = structured_mc(dense_mc, m, samples, 5, threads)
-        assert hits == dense_mc_hits(m, samples, 5, threads)
-    x = 1 - 2 * np.concatenate(_kernel.mc_bit_blocks(samples, n, 5, np.copy), axis=1).astype(int)
-    z = np.array(weights) @ x
-    assert hits == np.count_nonzero(z == 0) + np.count_nonzero(np.abs(z) == 2 * scale)
-    assert np.count_nonzero(z == 2 * scale) > 0
+    # -I + 1 v^T / (sum v / 2) with v >= 0 counts z = 0 and z = +-sum v; the
+    # sample with every bit set has v . bits = sum v, here 128 or 32768, one
+    # past int8 or int16
+    for weights in ([1, 15] + [14] * 8, [1] + [3641] * 7 + [3640] * 2):
+        m = -np.eye(10) + np.outer(np.ones(10), weights) / (sum(weights) // 2)
+        for samples, threads in ((_kernel.MC_BLOCK + 1, 1), (3 * _kernel.MC_BLOCK + 5, 2)):
+            assert structured_mc(dense_mc, m, samples, 5, threads) == dense_mc_hits(m, samples, 5, threads)
 
 
 def test_structured_mc_checks_the_fixed_coordinates(rng, dense_mc):
