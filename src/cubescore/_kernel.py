@@ -33,6 +33,10 @@ For a signed permutation plus an integer rank-one term,
 coordinate, per value of the rank-one term's sum;
 :func:`rank_one_window_hits` counts the hits from the same histogram and
 :func:`rank_one_mc_hits` decides Monte Carlo samples from their bits.
+:func:`rank_one_product_table` decides ``prod_i |(Mx)_i| >= theta`` per
+count of minus signs in each class of interchangeable coordinates, which
+gives the exact count, and :func:`class_count_hits` decides Monte Carlo
+samples by their counts.
 
 Every Monte Carlo statistic over sign vectors draws its samples through
 :func:`mc_bit_blocks`.  Samples come in blocks of :func:`mc_rows` rows,
@@ -43,11 +47,11 @@ one word gives 64 samples of one coordinate on any platform.  The dense
 engine, :func:`mc_sign_blocks`, forms the block's image ``M @ x`` as the
 matrix product of ``[-2M | M 1]`` with the bits and a row of ones, into a
 scratch buffer that its reducer then overwrites in place;
-:func:`rank_one_mc_hits` forms no image.  Everything here is
-deterministic: fixed block layout, fixed visit order, per-block substreams,
-and products whose sums do not depend on OpenBLAS's thread count, which make
-results independent of how blocks are dispatched to threads.  While a
-thread pool runs, OpenBLAS runs single-threaded
+:func:`rank_one_mc_hits` and :func:`class_count_hits` form no image.
+Everything here is deterministic: fixed block layout, fixed visit order,
+per-block substreams, and products whose sums do not depend on OpenBLAS's
+thread count, which make results independent of how blocks are dispatched
+to threads.  While a thread pool runs, OpenBLAS runs single-threaded
 (:func:`_single_threaded_blas`), so the two kinds of thread do not compete
 for the same cores.
 """
@@ -437,6 +441,118 @@ def rank_one_mc_hits(cols: np.ndarray, signs: np.ndarray, u: np.ndarray, v: np.n
                 at = np.flatnonzero(q == qk)
                 hits += int(np.count_nonzero((bits[np.ix_(fixed, at)] == need).all(axis=0)))
         return hits
+
+    return int(sum(mc_bit_blocks(samples, n, seed, block_hits, threads)))
+
+
+def rank_one_product_table(cols: np.ndarray, signs: np.ndarray, u: np.ndarray, v: np.ndarray,
+                           bound: np.ndarray, theta: float
+                           ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray] | None:
+    """Whether ``prod_i |(Mx)_i| >= theta`` for ``M = S P + u v^T``, per
+    count of minus signs in each class of coordinates; ``None`` where it
+    declines.
+
+    With ``S P``, ``v`` and ``bound`` as in :func:`rank_one_table`, write
+    ``w[cols[i]] = signs[i] u[i]`` and ``z = v . x``.  Then ``|(Mx)_i|`` is
+    ``|1 + w_j z|`` where ``x_j = +1`` and ``|1 - w_j z|`` where ``x_j =
+    -1``, ``j = cols[i]``, so coordinates with equal ``(v_j, w_j)`` form one
+    class and may be swapped freely.  Taking ``k_c`` minus signs among the
+    ``n_c`` coordinates of each class ``c`` gives ``z = sum_c v_c (n_c - 2
+    k_c)``, the product ``prod_c |1 + w_c z|^(n_c - k_c) |1 - w_c
+    z|^k_c``, and ``prod_c C(n_c, k_c)`` vectors.
+
+    Returns ``(classes, hit, counts)``: each class's coordinates, and per
+    choice of the ``k_c`` whether its product clears ``theta`` and how many
+    vectors make it.  Choice ``(k_c)`` has the mixed-radix index whose digit
+    ``k_c`` has radix ``n_c + 1``, the first class most significant.
+
+    Each choice is decided on an interval that holds the product that the
+    walk or :func:`mc_sign_blocks`' images give every vector making it.
+    Where ``theta`` lies in any interval, the walk's product would need
+    deciding vector by vector, and the answer is ``None``.  It is also
+    ``None`` where the table's factors, one per choice and coordinate, would
+    pass :data:`_INTEGER_STATES`, or the products could overflow.
+    """
+    # The walk (or the block product) forms each |y_i| within bound[i] of the
+    # |1 +- w_j z| evaluated here, so its factors lie in [lo_i, hi_i] = [|y| -
+    # b, |y| + b], b the class's largest bound, and in exact arithmetic their
+    # product lies in [prod lo_i, prod hi_i].  Each product of n factors
+    # rounds n - 1 times, in any order: relative error (1 + eps/2)^(n - 1),
+    # plus, where a partial product falls below tiny, an absolute error of at
+    # most half the smallest subnormal, tiny eps / 2, times the factors that
+    # multiply it later.  Every product of a subset of the factors lies below prod_i
+    # max(hi_i, 1), and so below umax = prod_c (1 + |w_c| sum|v| + b_c)^n_c,
+    # as |z| <= sum|v|; those errors add at most n tiny eps / 2 umax (1 +
+    # eps/2)^(n + 2).  The ends computed here round each factor lo_i or hi_i
+    # once and multiply n - 1 times, also left to right.  So with r = 2 (n +
+    # 1) eps, which covers (1 + eps/2)^(3n + 3) - 1, and a = 2 n tiny eps
+    # umax, which covers both products' subnormal errors and umax's own
+    # rounding, the walk's product lies in [prod lo (1 - r) - a, prod hi (1 +
+    # r) + a].  With 2 umax finite no partial product overflows.
+    n = v.size
+    w, b = np.empty(n), np.empty(n)
+    w[cols], b[cols] = signs * u, bound
+    order, starts = group_rows(np.column_stack([v.astype(float), w]))
+    classes = np.split(order, starts[1:])
+    sizes = [c.size for c in classes]
+    choices = math.prod(s + 1 for s in sizes)
+    if not counts_fit(n) or choices * n > _INTEGER_STATES:
+        return None
+    first = order[starts].tolist()
+    reach = np.maximum.reduceat(b[order], starts).tolist()  # each class's largest bound
+    span = float(np.abs(v).sum())
+    umax = 1.0
+    for j, s, bc in zip(first, sizes, reach):
+        for _ in range(s):
+            umax *= 1.0 + abs(w[j]) * span + bc  # a Python float: inf on overflow
+    if not math.isfinite(2.0 * umax):
+        return None
+    rest, minus = np.arange(choices), []  # per class, k_c of each choice
+    for s in reversed(sizes):
+        rest, k = np.divmod(rest, s + 1)
+        minus.insert(0, k)
+    z = sum(int(v[j]) * (s - 2 * k) for j, s, k in zip(first, sizes, minus)).astype(float)
+    counts = np.ones(choices, np.int64)
+    low, high = np.ones(choices), np.ones(choices)
+    for j, s, bc, k in zip(first, sizes, reach, minus):
+        counts *= np.array([math.comb(s, i) for i in range(s + 1)])[k]
+        shift = w[j] * z
+        ends = []
+        for y in (np.abs(shift + 1.0), np.abs(shift - 1.0)):  # x_j = +1, -1
+            ends += [np.maximum(y - bc, 0.0), y + bc]
+        lo_plus, hi_plus, lo_minus, hi_minus = ends
+        for e in range(s):  # the class's first k_c factors are its minus signs
+            sign = e < k
+            low *= np.where(sign, lo_minus, lo_plus)
+            high *= np.where(sign, hi_minus, hi_plus)
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    r, a = 2 * (n + 1) * eps, 2 * n * umax * (tiny * eps)
+    low, high = low * (1.0 - r) - a, high * (1.0 + r) + a
+    if np.any((low <= theta) & (theta <= high)):
+        return None
+    return classes, low > theta, counts
+
+
+def class_count_hits(classes: list[np.ndarray], hit: np.ndarray, samples: int, seed: int,
+                     threads: int = 1) -> int:
+    """How many of :func:`mc_bit_blocks`' samples make a choice that ``hit``
+    marks, for :func:`rank_one_product_table`'s ``classes`` and ``hit``.
+
+    Per block, each class's bit rows sum to its count of minus signs, and
+    those counts form the choice's mixed-radix index.
+    """
+    n = sum(coords.size for coords in classes)
+    # the index type holds every index and every partial one, and every
+    # radix: a lone class's n + 1 <= 63 fits uint8, any other's is at most
+    # hit.size / 2; a class's count, at most 62, fits the uint8 sum
+    index = np.min_scalar_type(hit.size - 1)
+
+    def block_hits(bits: np.ndarray) -> int:
+        key = np.zeros(bits.shape[1], index)
+        for coords in classes:
+            key *= coords.size + 1
+            key += (bits if coords.size == n else bits[coords]).sum(axis=0, dtype=np.uint8)
+        return int(np.count_nonzero(hit.take(key)))
 
     return int(sum(mc_bit_blocks(samples, n, seed, block_hits, threads)))
 

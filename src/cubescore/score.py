@@ -63,7 +63,8 @@ def exact_score(m, tol: float = DEFAULT_TOLERANCES.membership_tol) -> ScoreRepor
     exact histogram of ``v . x`` over those signs gives the hits
     (:func:`_kernel.rank_one_window_hits`).  That count equals the walk's:
     where an evaluated distance lies within a rounding bound of ``tol``, or
-    the histogram declines (``n > 62`` among others), the walk runs instead.
+    the histogram declines (``n > 62`` among others), the walk runs instead,
+    and so it does where its half walk is one block, ``n <= 13``.
     The walk takes half the cube, as the rule is invariant under ``x ->
     -x``, and doubles the count.  Where hits are rare it checks only the
     vectors whose image can be near ``+-1`` in one row
@@ -73,12 +74,19 @@ def exact_score(m, tol: float = DEFAULT_TOLERANCES.membership_tol) -> ScoreRepor
     arr = as_matrix(m, square=True)
     tol = check_fraction(tol)
     window = _kernel.Window(1.0, tol)
-    split = _rank_one_split(arr)
+    split = _exact_split(arr)
     hits = None if split is None else _kernel.rank_one_window_hits(*split, window)
     if hits is None:
         hits = _kernel.count_signs(arr, window)[0]
     total = 1 << arr.shape[0]
     return ScoreReport(hits, total, hits / total, 0.0, "exact", tol)
+
+
+def _exact_split(arr: np.ndarray):
+    """:func:`_rank_one_split` for an exhaustive count, or ``None`` where the
+    walk is cheaper: where its half walk is one block, ``n - 1 <=
+    _kernel.LOW_BITS``."""
+    return None if arr.shape[0] - 1 <= _kernel.LOW_BITS else _rank_one_split(arr)
 
 
 def _rank_one_split(arr: np.ndarray):
@@ -165,8 +173,20 @@ def threshold_score(
 ) -> ThresholdScoreReport:
     """Probability that ``prod_i |(Mx)_i| >= theta`` over sign vectors.
 
-    ``mode`` is ``"exact"`` (exhaustive, ``n <= 30``; the statistic is
-    invariant under ``x -> -x``, so half the cube is walked) or ``"mc"``.
+    ``mode`` is ``"exact"`` (exhaustive; the statistic is invariant under ``x
+    -> -x``, so half the cube is walked, ``n <= 30``) or ``"mc"``.  A signed
+    permutation plus an integer rank-one term, ``M = S P + u v^T``
+    (:func:`structure.perm_plus_rank_one`), is counted without the walk and
+    sampled without the block product: the product depends only on how many
+    minus signs each class of interchangeable coordinates takes, so a table
+    over those counts decides every vector
+    (:func:`_kernel.rank_one_product_table`), the exact count is read from
+    it, and each Monte Carlo sample looks up its counts
+    (:func:`_kernel.class_count_hits`).  Where ``theta`` lies within a
+    rounding bound of a product the table holds, or the table would be too
+    large, the walk or the block product runs instead, so the count is
+    theirs either way.  Exact mode walks first where its half walk is one
+    block, ``n <= 13``, and counts this form up to ``n = 62``.
     """
     arr = as_matrix(m, square=True)
     if not (_is_number(theta) and 0.0 < theta <= 1.0):
@@ -175,7 +195,19 @@ def threshold_score(
     def clears(y: np.ndarray) -> np.ndarray:
         return np.prod(np.abs(y, out=y), axis=0) >= theta
 
-    hits, total, stderr = _kernel.count_signs(arr, clears, mode, samples, seed, threads)
+    def table(split):
+        return None if split is None else _kernel.rank_one_product_table(*split, theta)
+
+    def structured(samples: int, seed: int, threads: int) -> int | None:
+        found = table(_rank_one_split(arr))
+        return None if found is None else _kernel.class_count_hits(*found[:2], samples, seed, threads)
+
+    found = table(_exact_split(arr)) if mode == "exact" else None
+    if found is not None:
+        _, hit, counts = found
+        hits, total, stderr = int(counts[hit].sum()), 1 << arr.shape[0], 0.0
+    else:
+        hits, total, stderr = _kernel.count_signs(arr, clears, mode, samples, seed, threads, structured)
     method = "exact" if mode == "exact" else "monte_carlo"
     return ThresholdScoreReport(hits, total, hits / total, stderr, method, 0.0, float(theta))
 

@@ -11,10 +11,11 @@ and threshold counts, Ryser and Glynn permanents (as float hex), rank-one
 zero-sum claims and concentration counts and modes, on matrices of 1 to 26
 rows.  The last lines take inputs past caps that a checkout may or may not
 have: integer rank-one claims at n=26..40 and one-row concentration at
-n=26..32, then non-integer rank-one claims at n=25..28 and Glynn's
-permanent of one Gaussian 26 x 26 matrix.  A checkout that refuses an input
-prints the hash of ``CapacityError``.  Not collected by pytest; it takes
-about fifteen seconds.
+n=26..32, then non-integer rank-one claims at n=25..28, Glynn's
+permanent of one Gaussian 26 x 26 matrix, and exact threshold counts of
+signed reflections and integer rank-one orthogonals at n=32, 40 and 62.  A
+checkout that refuses an input prints the hash of ``CapacityError``.  Not
+collected by pytest; it takes about fifteen seconds.
 """
 
 import contextlib
@@ -150,6 +151,24 @@ def walks_past_the_claim_caps():
     emit("glynn/normal/n=26", value)
 
 
+def thresholds_past_the_walk_cap():
+    for n in (32, 40, 62):
+        rng = np.random.default_rng(500 + n)
+        reflection = (np.eye(n) - 2.0 / n)[rng.permutation(n)]
+        cases = {"reflection": rng.choice([-1.0, 1.0], size=n)[:, None] * reflection}
+        for name, values in (("signs", [-1, 0, 1, 1]), ("ints", [1, 2, 3])):
+            t = rng.choice(values, size=n) * 1.0
+            t[0] = 1.0
+            cases[name] = rank_one_orthogonal(n, t).matrix
+        for name, m in cases.items():
+            for theta in (0.01, 0.25, 0.9):
+                try:
+                    value = threshold_score(m, theta).hit_count
+                except CapacityError:
+                    value = "CapacityError"
+                emit(f"threshold/{name}/n={n}/theta={theta}", value)
+
+
 if __name__ == "__main__":
     hit_sets()
     threshold_counts()
@@ -158,3 +177,4 @@ if __name__ == "__main__":
     concentration()
     past_the_caps()
     walks_past_the_claim_caps()
+    thresholds_past_the_walk_cap()

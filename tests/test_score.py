@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -342,18 +344,30 @@ def signed_rows(rng, m):
     return rng.choice([-1.0, 1.0], size=n)[:, None] * m[rng.permutation(n)]
 
 
+def results_of(monkeypatch, name):
+    """The result of every call of ``_kernel.<name>`` from here on."""
+    seen = []
+    call = getattr(_kernel, name)
+
+    def spy(*args):
+        seen.append(call(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(_kernel, name, spy)
+    return seen
+
+
 @pytest.fixture
 def structured(monkeypatch):
     """The counts of the structured path that ran, ``None`` for a decline."""
-    seen = []
-    count = _kernel.rank_one_window_hits
+    return results_of(monkeypatch, "rank_one_window_hits")
 
-    def spy(*args):
-        seen.append(count(*args))
-        return seen[-1]
 
-    monkeypatch.setattr(_kernel, "rank_one_window_hits", spy)
-    return seen
+def structured_hits(m, tol):
+    """The structured count of ``m``'s hits, ``None`` for a decline,
+    whatever the size (``exact_score`` walks up to n = 13)."""
+    split = score._rank_one_split(m)
+    return None if split is None else _kernel.rank_one_window_hits(*split, _kernel.Window(1.0, tol))
 
 
 def test_structured_path_matches_the_walk_for_every_small_n(rng, structured):
@@ -361,6 +375,8 @@ def test_structured_path_matches_the_walk_for_every_small_n(rng, structured):
     # all-ones t, integer t in [-3, 3] (most do not snap to a signed
     # permutation and walk), and t of +-1 and 0 entries with one 3 or 2
     # (these snap from n=8 or so on)
+    # (up to n = 13 the half walk is one block and exact_score walks, so
+    # the count is checked on the kernel directly)
     taken = set()
     for n in range(1, 21):
         cases = [("perm", np.eye(n)[rng.permutation(n)] * rng.choice([-1.0, 1.0], size=n))]
@@ -371,10 +387,14 @@ def test_structured_path_matches_the_walk_for_every_small_n(rng, structured):
             t[0] = 1.0
             cases.append(("rank one", signed_rows(rng, rank_one_orthogonal(n, t).matrix)))
         for kind, m in cases:
+            split = score._rank_one_split(m)
             for tol in (1e-9, 0.3):
                 structured.clear()
                 assert exact_score(m, tol).hit_count == walk_hits(m, tol)
-                if structured and structured[0] is not None:
+                assert len(structured) == (n > _kernel.LOW_BITS + 1 and split is not None)
+                hits = structured_hits(m, tol)
+                if hits is not None:
+                    assert hits == walk_hits(m, tol)
                     taken.add((kind, n))
     assert {n for kind, n in taken if kind == "perm"} == set(range(1, 21))
     assert {n for kind, n in taken if kind == "rank one"} >= set(range(8, 21))
@@ -395,22 +415,26 @@ def test_reflection_closed_form_without_the_walk(rng, monkeypatch, n):
 
 
 def test_signed_permutation_scores_one_without_the_walk(rng, monkeypatch):
-    # a residual of rank 0: u = 0 and v = 0, so every x is a hit
+    # a residual of rank 0: u = 0 and v = 0, so every x is a hit (exact_score
+    # walks up to n = 13, so n = 1 and 5 are counted on the kernel directly)
     monkeypatch.setattr(_kernel, "sign_walk", _no_walk)
-    for n in (1, 5, 40, 62):
-        rep = exact_score(np.eye(n)[rng.permutation(n)] * rng.choice([-1.0, 1.0], size=n))
-        assert rep.hit_count == rep.total == 1 << n
-        assert rep.score == 1.0
+    for n in (1, 5, 14, 40, 62):
+        m = np.eye(n)[rng.permutation(n)] * rng.choice([-1.0, 1.0], size=n)
+        assert _kernel.rank_one_window_hits(*score._rank_one_split(m), _kernel.Window(1.0, 1e-9)) == 1 << n
+        if n > _kernel.LOW_BITS + 1:
+            rep = exact_score(m)
+            assert rep.hit_count == rep.total == 1 << n
+            assert rep.score == 1.0
 
 
-def test_a_tol_on_an_attainable_distance_falls_back_to_the_walk(structured):
+def test_a_tol_on_an_attainable_distance_falls_back_to_the_walk():
     # I - J/5 at n=10: u = -0.2 per row and z = sum(x), so z = +-2 puts
     # every row 0.4 from +-1, up to rounding; tol = 0.4 sits on that edge
     m = reflected_ones(10)
     for tol, fell_back in ((0.4, True), (0.4 + 1e-6, False), (0.4 - 1e-6, False)):
-        structured.clear()
-        assert exact_score(m, tol).hit_count == naive_exact_score(m, tol).hit_count
-        assert (structured == [None]) == fell_back
+        walked = naive_exact_score(m, tol).hit_count
+        assert exact_score(m, tol).hit_count == walked
+        assert structured_hits(m, tol) == (None if fell_back else walked)
     # an exact split, as 1 + c is a float: only rounding, in the walk and
     # here, separates the distance at z = 2 from a tol one ulp off it
     c = round(-0.2 * 2**53) / 2**53
@@ -418,12 +442,11 @@ def test_a_tol_on_an_attainable_distance_falls_back_to_the_walk(structured):
     d = abs(abs(1.0 + 2.0 * c) - 1.0)
     assert perm_plus_rank_one(m)[4].max() == 0.0
     for tol in (np.nextafter(d, 1.0), np.nextafter(d, 0.0)):
-        structured.clear()
         assert exact_score(m, tol).hit_count == walk_hits(m, tol)
-        assert structured == [None]
+        assert structured_hits(m, tol) is None
 
 
-def test_a_split_error_across_tol_falls_back_to_the_walk(structured):
+def test_a_split_error_across_tol_falls_back_to_the_walk():
     # I - J/6 with entries of row 0 nudged down.  By 1.5 tol in all, over
     # columns 4 and 5, the residual keeps rank one but row 0 of a balanced x
     # moves 1.5 tol off +-1 unless x_4 != x_5: the split's error crosses tol,
@@ -433,14 +456,13 @@ def test_a_split_error_across_tol_falls_back_to_the_walk(structured):
     for nudged, fell_back in (((4, 5, -0.75 * tol), True), ((5, -0.5 * tol), False)):
         m = reflected_ones(n)
         m[0, list(nudged[:-1])] += nudged[-1]
-        structured.clear()
         hits = exact_score(m, tol).hit_count
         assert hits == naive_exact_score(m, tol).hit_count
         if fell_back:
-            assert structured == [None]
+            assert structured_hits(m, tol) is None
             assert 0 < hits < math.comb(n, n // 2)
         else:
-            assert structured == [hits] == [math.comb(n, n // 2) + 2]
+            assert structured_hits(m, tol) == hits == math.comb(n, n // 2) + 2
 
 
 def test_rank_two_and_non_integer_residuals_decline(rng, structured):
@@ -474,19 +496,22 @@ def test_exact_score_and_decompose_leave_scipy_and_numpy_ma_unloaded():
     # importing scipy.linalg costs about 220 ms and 29 MB, and numpy.ma, which
     # np.unique loads when asked for the unique values alone, about 15 ms;
     # with scipy blocked any import of it fails, so the 600-row calls show
-    # that no size needs it (mc_score of the reflection takes the same split)
+    # that no size needs it (mc_score and threshold_score of the reflection
+    # take the same split)
     code = """
 import sys
 sys.modules["scipy"] = None
 import numpy as np
 from cubescore.core import CapacityError, numeric_rank
-from cubescore.score import exact_score, mc_score
+from cubescore.score import exact_score, mc_score, threshold_score
 from cubescore.structure import decompose
 rng = np.random.default_rng(5)
 n = 20
 r = np.eye(n) - 2.0 / n
 exact_score(r)
 mc_score(r, 1000, 1)
+threshold_score(r, 0.25)
+threshold_score(r, 0.25, mode="mc", samples=1000, seed=1)
 exact_score(rng.normal(size=(12, 12)))
 exact_score(np.eye(40))
 decompose(r)
@@ -655,3 +680,165 @@ def test_structured_mc_refuses_as_the_dense_engine(rng):
                             ({"threads": 0}, "threads must be a positive integer, got 0")):
         with pytest.raises(PreconditionError, match=message):
             mc_score(m, **{"samples": 10, "seed": 1, **kwargs})
+
+
+def threshold_walk(m, theta, *draws):
+    """The walk's threshold count, or the dense engine's with ``draws`` =
+    ``(samples, seed, threads)``, past the table."""
+    def clears(y):
+        return np.prod(np.abs(y, out=y), axis=0) >= theta
+
+    return _kernel.count_signs(m, clears, "mc" if draws else "exact", *draws)[0]
+
+
+def product_table(m, theta):
+    split = score._rank_one_split(m)
+    return None if split is None else _kernel.rank_one_product_table(*split, theta)
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """The tables that ``threshold_score`` built, ``None`` for a decline."""
+    return results_of(monkeypatch, "rank_one_product_table")
+
+
+THETAS = (0.01, 0.25, 0.9, 1.0)
+
+
+def test_threshold_table_matches_the_walk_for_every_small_n(rng, tables):
+    # signed permutations, signed reflections and signed-permuted integer
+    # rank-one orthogonals (most integer t in [-3, 3] do not split); the
+    # table is checked directly, as threshold_score walks up to n = 13
+    taken = {}
+    for n in range(1, 21):
+        cases = [("perm", np.eye(n)[rng.permutation(n)] * rng.choice([-1.0, 1.0], size=n)),
+                 ("reflection", signed_rows(rng, reflected_ones(n)))]
+        for t in (rng.integers(-3, 4, size=n), rng.choice([-1, 0, 1, 1], size=n),
+                  rng.choice([-1, 0, 1, 1], size=n), rng.choice([-1, 1, 1, 2], size=n)):
+            t = t.astype(float)
+            t[0] = 1.0
+            cases.append(("rank one", signed_rows(rng, rank_one_orthogonal(n, t).matrix)))
+        for kind, m in cases:
+            split = score._rank_one_split(m)
+            for theta in THETAS:
+                walked = threshold_walk(m, theta)
+                tables.clear()
+                assert threshold_score(m, theta).hit_count == walked
+                declined = [table is None for table in tables]
+                found = None if split is None else _kernel.rank_one_product_table(*split, theta)
+                assert declined == [found is None] * (n > _kernel.LOW_BITS + 1 and split is not None)
+                if found is not None:
+                    _, hit, counts = found
+                    assert int(counts[hit].sum()) == walked, (kind, n, theta)
+                    assert counts.sum() == 1 << n
+                    taken.setdefault(kind, set()).add(n)
+    assert taken["perm"] == taken["reflection"] | {3, 4, 5, 6, 7} == set(range(1, 21))
+    assert taken["rank one"] == {1, 2, 4, *range(10, 21)}
+
+
+@pytest.mark.parametrize("n", [20, 32, 40, 62])
+def test_threshold_closed_form_without_the_walk(rng, monkeypatch, n):
+    # with k minus signs z = n - 2k, and |(Mx)_i| = |1 -+ 2z/n| on the plus
+    # and minus coordinates: an exact rational count
+    monkeypatch.setattr(_kernel, "sign_walk", _no_walk)
+    m = signed_rows(rng, reflected_ones(n))
+    for theta in (0.01, 0.25, 0.9):
+        c = [Fraction(2 * (n - 2 * k), n) for k in range(n + 1)]
+        want = sum(math.comb(n, k) for k in range(n + 1)
+                   if abs(1 - c[k]) ** (n - k) * abs(1 + c[k]) ** k >= Fraction(theta))
+        rep = threshold_score(m, theta)
+        assert (rep.hit_count, rep.total, rep.method) == (want, 1 << n, "exact")
+        assert rep.score == want / 2**n
+
+
+@pytest.mark.parametrize("samples", EDGE_SAMPLES)
+def test_threshold_bit_path_is_the_dense_engine(rng, dense_mc, samples):
+    t = np.resize([1.0, -1.0, 0.0, 1.0, 1.0], 20)
+    for m in (signed_rows(rng, reflected_ones(20)), signed_rows(rng, rank_one_orthogonal(20, t).matrix)):
+        for theta, threads in itertools.product((0.01, 0.25, 0.9), (1, 2)):
+            dense_mc.clear()
+            rep = threshold_score(m, theta, mode="mc", samples=samples, seed=11, threads=threads)
+            assert dense_mc == []
+            assert (rep.hit_count, rep.total) == (threshold_walk(m, theta, samples, 11, threads), samples)
+
+
+def test_threshold_bit_path_past_the_walk_without_the_engine(rng, monkeypatch):
+    monkeypatch.setattr(_kernel, "mc_sign_blocks", _no_walk)
+    n, samples = 62, 100_000
+    rep = threshold_score(signed_rows(rng, reflected_ones(n)), 0.25, mode="mc", samples=samples, seed=8)
+    p = threshold_score(reflected_ones(n), 0.25).score
+    assert rep.total == samples and rep.stderr > 0
+    assert abs(rep.score - p) <= 5.0 * math.sqrt(p * (1 - p) / samples)
+
+
+def test_a_theta_on_an_attainable_product_declines(rng, tables, dense_mc):
+    # I - J/8 at n=16 is exact in floats, so the walk forms its products
+    # exactly: 0.5^10 1.5^6 with 6 minus signs, and 0 with 4 (z = 8 makes
+    # 1 - z/8 vanish).  A theta within a few ulps of a product, or within
+    # the split's rounding bound of it, declines, and so does the identity
+    # at theta = 1 and a subnormal theta above the zero product.
+    reflection = reflected_ones(16)
+    product = 0.5**10 * 1.5**6
+    ulps = [product]
+    for _ in range(3):
+        ulps = [np.nextafter(ulps[0], 0.0), *ulps, np.nextafter(ulps[-1], 1.0)]
+    near = (*ulps, product * (1 + 1e-12), product * (1 - 1e-12), 5e-324, 1e-310)
+    for m, theta in [*((reflection, theta) for theta in near), (np.eye(16), 1.0), (np.eye(20), 1.0)]:
+        tables.clear()
+        assert threshold_score(m, theta).hit_count == threshold_walk(m, theta)
+        assert tables == [None]
+        dense_mc.clear()
+        rep = threshold_score(m, theta, mode="mc", samples=5000, seed=3, threads=2)
+        assert len(dense_mc) == 1 and rep.hit_count == threshold_walk(m, theta, 5000, 3, 2)
+    assert threshold_walk(reflection, ulps[3]) > threshold_walk(reflection, ulps[4])
+    # a theta clear of every product by more than the bounds is decided
+    assert product_table(reflection, product * (1 + 1e-9)) is not None
+
+
+def test_a_theta_below_tiny_near_an_underflowing_product_declines(rng, dense_mc):
+    # I - J/16 at n=32: with 8 minus signs 24 factors vanish exactly, and their
+    # upper ends, about 1e-13 each, multiply below tiny, where the relative
+    # rounding bound fails; a theta below tiny there declines to the engine
+    m = reflected_ones(32)
+    for theta in (np.finfo(float).tiny / 2, 5e-324):
+        assert product_table(m, theta) is None
+        dense_mc.clear()
+        rep = threshold_score(m, theta, mode="mc", samples=70000, seed=4)
+        assert len(dense_mc) == 1 and rep.hit_count == threshold_walk(m, theta, 70000, 4, 1)
+    assert product_table(m, np.finfo(float).tiny * 1e10) is not None
+
+
+def test_a_theta_inside_the_rounding_slack_declines():
+    # I - J/8 at n=16 again: with k minus signs the walk's product lies in
+    # [prod (|y| - b), prod (|y| + b)] widened by its own rounding, which
+    # these ends, a few ulps from the table's, leave out; a theta between
+    # them and the widened ends declines
+    n = 16
+    m = reflected_ones(n)
+    cols, signs, u, v, bound = score._rank_one_split(m)
+    b, w = bound.max(), signs[0] * u[0]
+    for k in (2, 6, 7):
+        z = float(n - 2 * k)
+        plus, minus = abs(1.0 + w * z), abs(1.0 - w * z)
+        low = max(minus - b, 0.0) ** k * max(plus - b, 0.0) ** (n - k)
+        high = (minus + b) ** k * (plus + b) ** (n - k)
+        for theta in (low * (1 - 16 * np.finfo(float).eps), high * (1 + 16 * np.finfo(float).eps)):
+            assert product_table(m, theta) is None
+            assert product_table(m, theta * (1 - 1e-9) if theta < low else theta * (1 + 1e-9)) is not None
+
+
+def test_exact_counts_walk_while_the_half_walk_is_one_block(monkeypatch):
+    # up to n = 13 neither exact count splits the matrix, as the CLI's n = 8
+    # reflection showed the split to cost more than the walk
+    def no_split(arr):
+        raise AssertionError("split a matrix whose half walk is one block")
+
+    monkeypatch.setattr(score, "_rank_one_split", no_split)
+    for n in (1, 8, 13):
+        m = reflected_ones(n)
+        assert exact_score(m).hit_count == walk_hits(m)
+        assert threshold_score(m, 0.25).hit_count == threshold_walk(m, 0.25)
+    with pytest.raises(AssertionError, match="one block"):
+        threshold_score(reflected_ones(14), 0.25)
+    with pytest.raises(AssertionError, match="one block"):
+        exact_score(reflected_ones(14))
