@@ -445,9 +445,19 @@ def rank_one_mc_hits(cols: np.ndarray, signs: np.ndarray, u: np.ndarray, v: np.n
     return int(sum(mc_bit_blocks(samples, n, seed, block_hits, threads)))
 
 
-def rank_one_product_table(cols: np.ndarray, signs: np.ndarray, u: np.ndarray, v: np.ndarray,
-                           bound: np.ndarray, theta: float
-                           ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray] | None:
+def rank_one_classes(cols: np.ndarray, signs: np.ndarray, u: np.ndarray, v: np.ndarray) -> list[np.ndarray]:
+    """The coordinates of each class of :func:`rank_one_product_table`, in
+    :func:`group_rows` order: with ``w[cols[i]] = signs[i] u[i]``, coordinates
+    with equal ``(v_j, w_j)``."""
+    w = np.empty(v.size)
+    w[cols] = signs * u
+    order, starts = group_rows(np.column_stack([v.astype(float), w]))
+    return np.split(order, starts[1:])
+
+
+def rank_one_product_table(classes: list[np.ndarray], cols: np.ndarray, signs: np.ndarray, u: np.ndarray,
+                           v: np.ndarray, bound: np.ndarray, theta: float
+                           ) -> tuple[np.ndarray, np.ndarray] | None:
     """Whether ``prod_i |(Mx)_i| >= theta`` for ``M = S P + u v^T``, per
     count of minus signs in each class of coordinates; ``None`` where it
     declines.
@@ -456,15 +466,16 @@ def rank_one_product_table(cols: np.ndarray, signs: np.ndarray, u: np.ndarray, v
     ``w[cols[i]] = signs[i] u[i]`` and ``z = v . x``.  Then ``|(Mx)_i|`` is
     ``|1 + w_j z|`` where ``x_j = +1`` and ``|1 - w_j z|`` where ``x_j =
     -1``, ``j = cols[i]``, so coordinates with equal ``(v_j, w_j)`` form one
-    class and may be swapped freely.  Taking ``k_c`` minus signs among the
-    ``n_c`` coordinates of each class ``c`` gives ``z = sum_c v_c (n_c - 2
-    k_c)``, the product ``prod_c |1 + w_c z|^(n_c - k_c) |1 - w_c
+    class and may be swapped freely; ``classes`` holds each class's
+    coordinates (:func:`rank_one_classes`).  Taking ``k_c`` minus signs among
+    the ``n_c`` coordinates of each class ``c`` gives ``z = sum_c v_c (n_c -
+    2 k_c)``, the product ``prod_c |1 + w_c z|^(n_c - k_c) |1 - w_c
     z|^k_c``, and ``prod_c C(n_c, k_c)`` vectors.
 
-    Returns ``(classes, hit, counts)``: each class's coordinates, and per
-    choice of the ``k_c`` whether its product clears ``theta`` and how many
-    vectors make it.  Choice ``(k_c)`` has the mixed-radix index whose digit
-    ``k_c`` has radix ``n_c + 1``, the first class most significant.
+    Returns ``(hit, counts)``: per choice of the ``k_c``, whether its product
+    clears ``theta`` and how many vectors make it.  Choice ``(k_c)`` has the
+    mixed-radix index whose digit ``k_c`` has radix ``n_c + 1``, the first
+    class most significant.
 
     Each choice is decided on an interval that holds the product that the
     walk or :func:`mc_sign_blocks`' images give every vector making it.
@@ -492,14 +503,12 @@ def rank_one_product_table(cols: np.ndarray, signs: np.ndarray, u: np.ndarray, v
     n = v.size
     w, b = np.empty(n), np.empty(n)
     w[cols], b[cols] = signs * u, bound
-    order, starts = group_rows(np.column_stack([v.astype(float), w]))
-    classes = np.split(order, starts[1:])
     sizes = [c.size for c in classes]
     choices = math.prod(s + 1 for s in sizes)
     if not counts_fit(n) or choices * n > _INTEGER_STATES:
         return None
-    first = order[starts].tolist()
-    reach = np.maximum.reduceat(b[order], starts).tolist()  # each class's largest bound
+    first = [int(c[0]) for c in classes]
+    reach = [float(b[c].max()) for c in classes]  # each class's largest bound
     span = float(np.abs(v).sum())
     umax = 1.0
     for j, s, bc in zip(first, sizes, reach):
@@ -530,7 +539,7 @@ def rank_one_product_table(cols: np.ndarray, signs: np.ndarray, u: np.ndarray, v
     low, high = low * (1.0 - r) - a, high * (1.0 + r) + a
     if np.any((low <= theta) & (theta <= high)):
         return None
-    return classes, low > theta, counts
+    return low > theta, counts
 
 
 def class_count_hits(classes: list[np.ndarray], hit: np.ndarray, samples: int, seed: int,

@@ -7,7 +7,8 @@ expectation identity ``per(M) = E[prod_i x_i (Mx)_i]`` (exact enumeration or
 Monte Carlo), and a balls-in-bins collision experiment that estimates the
 permanent of a column-stochastic matrix as the probability that ``n`` balls,
 ball ``j`` landing in bin ``i`` with probability ``A[i, j]``, occupy ``n``
-distinct bins.  Both exact walks are capped only by the walk's ``n <= 30``.
+distinct bins; a sample stops drawing balls at its first collision.  Both
+exact walks are capped only by the walk's ``n <= 30``.
 """
 
 from __future__ import annotations
@@ -144,7 +145,11 @@ def balls_in_bins_estimate(
     permanent of ``A`` equals the probability that all ``n`` balls land in
     distinct bins, estimated here by seeded sampling.  Each ball draws its
     bin from its column's alias table with one uniform, whose integer part
-    picks the slot and whose fraction is the slot's coin.
+    picks the slot and whose fraction is the slot's coin.  A sample stops
+    drawing at its first collision: in each block of samples, ball ``j``
+    draws one uniform from the block's own substream per sample that is
+    still free of collisions, in sample order, so a ball's law is unchanged,
+    the estimate stays unbiased and the thread count changes no number.
     """
     arr = check_column_stochastic(as_matrix(a, square=True), stochastic_tol)
     samples, seed = _kernel.check_mode("mc", samples, seed)
@@ -156,27 +161,44 @@ def balls_in_bins_estimate(
     # and 0 when that bin lies in another word.
     pick = np.stack([alias, np.broadcast_to(np.arange(n), alias.shape)], axis=2).reshape(n, 2 * n)
     word, bit = np.divmod(pick, 64)
-    words = np.arange(-(-n // 64))[:, None, None]
+    nwords = -(-n // 64)
+    words = np.arange(nwords)[:, None, None]
     bit_tables = np.where(word == words, np.left_shift(np.uint64(1), bit.astype(np.uint64)), np.uint64(0))
 
     def one_block(i: int, rows: int) -> int:
-        seen = np.zeros((len(bit_tables), rows), dtype=np.uint64)
-        clash = np.zeros(rows, dtype=np.uint64)
-        u = _kernel.block_rng(seed, i).random((n, rows))
-        for j, t in enumerate(u):  # row j holds ball j's uniforms
+        rng = _kernel.block_rng(seed, i)
+        # One array holds the block's scratch rows, which every ball reuses:
+        # the uniforms, their slots as floats and as indices, the balls' bin
+        # bits and the all-zero words the samples start from.  Separate arrays
+        # of this size went back to the system and were faulted in again
+        # block after block.
+        scratch = np.empty((3 + 2 * nwords, rows))
+        uniforms, slots, indices = scratch[0], scratch[1], scratch[2].view(np.intp)
+        marks = scratch[3 : 3 + nwords].view(np.uint64)
+        seen = scratch[3 + nwords :].view(np.uint64)  # the words of the samples with no collision yet
+        seen[...] = 0
+        flags = np.empty(rows, dtype=bool)
+        for j in range(n):
+            live = seen.shape[1]
+            t, k, slot = uniforms[:live], slots[:live], indices[:live]
+            flag, mark = flags[:live], marks[:, :live]
+            rng.random(out=t)  # ball j's uniforms, one per surviving sample
             t *= n
-            k = np.floor(t)
+            np.floor(t, out=k)
             np.minimum(k, n - 1, out=k)
             t -= k  # the coin, uniform in [0, 1)
-            k = k.astype(np.intp)
-            keep = t < prob[j].take(k)
-            k += k
-            k += keep
-            for mask, table in zip(seen, bit_tables):
-                bit = table[j].take(k)
-                clash |= mask & bit  # the bin already holds a ball
-                mask |= bit
-        return int(np.count_nonzero(clash == 0))
+            slot[...] = k
+            np.less(t, prob[j].take(slot, out=k, mode="clip"), out=flag)  # the coin keeps bin k
+            slot += slot
+            slot += flag
+            bit_tables[:, j].take(slot, axis=1, out=mark, mode="clip")
+            mark |= seen
+            # a ball that lands in an occupied bin leaves every word unchanged
+            (mark != seen).any(axis=0, out=flag)
+            seen = mark.compress(flag, axis=1)
+            if not seen.shape[1]:
+                break
+        return seen.shape[1]
 
     hits = int(sum(_kernel.map_sample_blocks(one_block, samples, n, threads)))
     p, stderr = _kernel.binomial_estimate(hits, samples)

@@ -9,6 +9,7 @@ and Monte Carlo flavors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +88,16 @@ def _exact_split(arr: np.ndarray):
     walk is cheaper: where its half walk is one block, ``n - 1 <=
     _kernel.LOW_BITS``."""
     return None if arr.shape[0] - 1 <= _kernel.LOW_BITS else _rank_one_split(arr)
+
+
+def _table_walks(classes: list[np.ndarray]) -> bool:
+    """Whether an exhaustive threshold count walks instead of building
+    :func:`_kernel.rank_one_product_table` over ``classes``: where the
+    table's factors, one per choice and coordinate, outnumber the half walk's
+    ``2**(n - 1)`` vectors.  A factor costs more than a vector of the walk
+    (about 40 against 27 ns at n = 20)."""
+    n = sum(c.size for c in classes)
+    return math.prod(c.size + 1 for c in classes) * n > 1 << (n - 1)
 
 
 def _rank_one_split(arr: np.ndarray):
@@ -186,7 +197,8 @@ def threshold_score(
     rounding bound of a product the table holds, or the table would be too
     large, the walk or the block product runs instead, so the count is
     theirs either way.  Exact mode walks first where its half walk is one
-    block, ``n <= 13``, and counts this form up to ``n = 62``.
+    block, ``n <= 13``, or holds fewer vectors than the table has factors,
+    and counts this form up to ``n = 62``.
     """
     arr = as_matrix(m, square=True)
     if not (_is_number(theta) and 0.0 < theta <= 1.0):
@@ -195,14 +207,21 @@ def threshold_score(
     def clears(y: np.ndarray) -> np.ndarray:
         return np.prod(np.abs(y, out=y), axis=0) >= theta
 
-    def table(split):
-        return None if split is None else _kernel.rank_one_product_table(*split, theta)
+    def table(split, exact: bool):
+        # (classes, hit, counts) of the split's threshold table, or None
+        if split is None:
+            return None
+        classes = _kernel.rank_one_classes(*split[:4])
+        if exact and _table_walks(classes):
+            return None
+        found = _kernel.rank_one_product_table(classes, *split, theta)
+        return None if found is None else (classes, *found)
 
     def structured(samples: int, seed: int, threads: int) -> int | None:
-        found = table(_rank_one_split(arr))
+        found = table(_rank_one_split(arr), exact=False)
         return None if found is None else _kernel.class_count_hits(*found[:2], samples, seed, threads)
 
-    found = table(_exact_split(arr)) if mode == "exact" else None
+    found = table(_exact_split(arr), exact=True) if mode == "exact" else None
     if found is not None:
         _, hit, counts = found
         hits, total, stderr = int(counts[hit].sum()), 1 << arr.shape[0], 0.0

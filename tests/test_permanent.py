@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cubescore import _json
+from cubescore import _json, _kernel
 from cubescore.core import CapacityError, PreconditionError
 from cubescore.permanent import (
     _alias_tables,
@@ -217,6 +217,81 @@ def test_balls_in_bins_wide_identity_and_forced_collision():
         a[:, 1] = a[:, shared]  # balls 1 and `shared` always share a bin
         rep = balls_in_bins_estimate(a, samples=3000, seed=1)
         assert rep.value == 0.0 and rep.stderr == 0.0
+
+
+def oracle_bins_hits(a, samples, seed):
+    """Balls-in-bins hits of the seeded stream, in plain Python: in each
+    Monte Carlo block, ball j draws one uniform from the block's substream
+    per sample still free of collisions, in sample order, and each sample
+    keeps the set of its bins."""
+    n = a.shape[0]
+    prob, alias = (t.tolist() for t in _alias_tables(a))
+    rows = _kernel.mc_rows(n)
+    hits = 0
+    for i, start in enumerate(range(0, samples, rows)):
+        rng = _kernel.block_rng(seed, i)
+        free = [set() for _ in range(min(rows, samples - start))]
+        for j in range(n):
+            left = []
+            for bins, u in zip(free, rng.random(len(free)).tolist()):
+                k = min(int(u * n), n - 1)
+                b = k if u * n - k < prob[j][k] else alias[j][k]
+                if b not in bins:
+                    bins.add(b)
+                    left.append(bins)
+            free = left
+        hits += len(free)
+    return hits
+
+
+def test_balls_in_bins_counts_the_oracles_hits(rng):
+    # n = 5 over three full blocks and a partial one, at three thread counts
+    a = rand_col_stochastic(rng, 5)
+    samples = 3 * 65536 + 37
+    want = oracle_bins_hits(a, samples, 7)
+    assert 0 < want < samples
+    for threads in (1, 2, 3):
+        assert balls_in_bins_estimate(a, samples, 7, threads=threads).value == want / samples
+    # n = 70 spreads each sample's bins over two 64-bit words
+    p = np.zeros((70, 70))
+    p[rng.permutation(70), np.arange(70)] = 1.0
+    a = 0.98 * p + 0.02 * rand_col_stochastic(rng, 70)
+    want = oracle_bins_hits(a, 3000, 2)
+    assert 0 < want < 3000
+    assert balls_in_bins_estimate(a, 3000, 2).value == want / 3000
+
+
+def test_balls_in_bins_draws_only_for_samples_free_of_collisions(rng, monkeypatch):
+    drawn = []
+    block_rng = _kernel.block_rng
+
+    class Counted:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def random(self, *args, **kwargs):
+            out = self.gen.random(*args, **kwargs)
+            drawn.append(out.size)
+            return out
+
+    monkeypatch.setattr(_kernel, "block_rng", lambda seed, index: Counted(block_rng(seed, index)))
+    samples = 65536 + 1000
+    for n in (1, 6, 20):
+        drawn.clear()
+        assert balls_in_bins_estimate(np.eye(n), samples, 3).value == 1.0
+        assert sum(drawn) == n * samples
+    a = np.eye(6)
+    a[:, 1] = a[:, 0]  # balls 0 and 1 always share a bin
+    drawn.clear()
+    assert balls_in_bins_estimate(a, samples, 3).value == 0.0
+    assert sum(drawn) == 2 * samples
+    # the benchmark's shape, 0.8 P + 0.2 U at n = 20: about half the balls
+    n = 20
+    p = np.zeros((n, n))
+    p[rng.permutation(n), np.arange(n)] = 1.0
+    drawn.clear()
+    assert balls_in_bins_estimate(0.8 * p + 0.2 * rand_col_stochastic(rng, n), samples, 3).value > 0.0
+    assert sum(drawn) < 0.6 * n * samples
 
 
 def test_balls_in_bins_rejects_an_infinite_stochastic_tol():

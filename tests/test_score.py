@@ -693,7 +693,9 @@ def threshold_walk(m, theta, *draws):
 
 def product_table(m, theta):
     split = score._rank_one_split(m)
-    return None if split is None else _kernel.rank_one_product_table(*split, theta)
+    if split is None:
+        return None
+    return _kernel.rank_one_product_table(_kernel.rank_one_classes(*split[:4]), *split, theta)
 
 
 @pytest.fixture
@@ -720,15 +722,17 @@ def test_threshold_table_matches_the_walk_for_every_small_n(rng, tables):
             cases.append(("rank one", signed_rows(rng, rank_one_orthogonal(n, t).matrix)))
         for kind, m in cases:
             split = score._rank_one_split(m)
+            classes = None if split is None else _kernel.rank_one_classes(*split[:4])
+            built = n > _kernel.LOW_BITS + 1 and split is not None and not score._table_walks(classes)
             for theta in THETAS:
                 walked = threshold_walk(m, theta)
                 tables.clear()
                 assert threshold_score(m, theta).hit_count == walked
                 declined = [table is None for table in tables]
-                found = None if split is None else _kernel.rank_one_product_table(*split, theta)
-                assert declined == [found is None] * (n > _kernel.LOW_BITS + 1 and split is not None)
+                found = None if split is None else _kernel.rank_one_product_table(classes, *split, theta)
+                assert declined == [found is None] * built
                 if found is not None:
-                    _, hit, counts = found
+                    hit, counts = found
                     assert int(counts[hit].sum()) == walked, (kind, n, theta)
                     assert counts.sum() == 1 << n
                     taken.setdefault(kind, set()).add(n)
@@ -842,3 +846,27 @@ def test_exact_counts_walk_while_the_half_walk_is_one_block(monkeypatch):
         threshold_score(reflected_ones(14), 0.25)
     with pytest.raises(AssertionError, match="one block"):
         exact_score(reflected_ones(14))
+
+
+def test_exact_threshold_walks_where_the_table_has_more_factors_than_the_half_walk_has_vectors(tables,
+                                                                                               monkeypatch):
+    # I + c 1 v^T with v = (1..12, 1, 1, 1, 1) at n=16 forms 13 classes and
+    # 20,480 choices, so the table has 327,680 factors against the half
+    # walk's 32,768 vectors: exact mode walks, mc mode still builds it
+    m = np.eye(16) + 0.01 * np.outer(np.ones(16), np.r_[np.arange(1.0, 13), np.ones(4)])
+    split = score._rank_one_split(m)
+    classes = _kernel.rank_one_classes(*split[:4])
+    assert (len(classes), math.prod(c.size + 1 for c in classes)) == (13, 20480)
+    assert score._table_walks(classes)
+    walks = results_of(monkeypatch, "count_signs")
+    for theta in (0.25, 0.5, 0.9):
+        hit, counts = _kernel.rank_one_product_table(classes, *split, theta)
+        tables.clear()
+        walks.clear()
+        rep = threshold_score(m, theta)
+        assert tables == [] and len(walks) == 1
+        assert rep.hit_count == walks[0][0] == int(counts[hit].sum())
+    threshold_score(m, 0.5, mode="mc", samples=1000, seed=1)
+    assert len(tables) == 1 and tables[0] is not None
+    # the benchmark's reflection at n=20: 21 choices of 20 factors
+    assert not score._table_walks(_kernel.rank_one_classes(*score._rank_one_split(reflected_ones(20))[:4]))
