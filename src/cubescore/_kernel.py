@@ -591,7 +591,18 @@ def integer_sum_counts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 
     Returns ``(sums, counts)``: the distinct sums as a ``(k, d)`` ``int64``
     array in lexicographic order, row 0 most significant, and how many ``x``
-    reach each.
+    reach each (:func:`_sum_keys`, unpacked).
+    """
+    found = _sum_keys(a)
+    if found is None:
+        return None
+    keys, counts, radix, span = found
+    return _unpack_sums(keys, radix, span), counts
+
+
+def _sum_keys(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int], list[int]] | None:
+    """:func:`integer_sum_counts` with each sum still packed in its key:
+    ``(keys, counts, radix, span)``, or ``None`` when it declines.
 
     A sum vector packs into one ``int64`` key: row ``r`` is offset by
     ``S_r = sum_j |a_rj|`` and has radix ``2 S_r + 1``, row 0 most
@@ -632,12 +643,17 @@ def integer_sum_counts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         for s in step:
             raw = np.concatenate([raw, raw - 2 * s])
         keys, counts = np.unique(raw, return_counts=True)
-    sums = np.empty((keys.size, d), np.int64)
-    for r in reversed(range(d)):
+    return keys, counts, radix, span
+
+
+def _unpack_sums(keys: np.ndarray, radix: list[int], span: list[int]) -> np.ndarray:
+    """The ``(k, d)`` sums that :func:`_sum_keys` packed into ``keys``."""
+    sums = np.empty((keys.size, len(radix)), np.int64)
+    for r in reversed(range(len(radix))):
         high = keys // radix[r]
         sums[:, r] = keys - high * radix[r] - span[r]
         keys = high
-    return sums, counts
+    return sums
 
 
 def modal_signed_sum(a: np.ndarray, group_tol: float) -> tuple[int, np.ndarray, int]:
@@ -661,13 +677,16 @@ def modal_signed_sum(a: np.ndarray, group_tol: float) -> tuple[int, np.ndarray, 
     keys, in block order, merges them.
     """
     group_tol = check_fraction(group_tol, "group_tol")
-    found = integer_sum_counts(a)
+    found = _sum_keys(a)
     if found is not None:
-        sums, counts = found
+        keys, counts, radix, span = found
         # raises where the walk's keys would: row r's largest |sum| is S_r
         grid_keys(np.abs(a).sum(axis=1), group_tol)
-        best = int(np.argmax(counts))  # sums come sorted, so a tie goes to the smallest key
-        return int(counts[best]), sums[best].astype(float), 1 << a.shape[1]
+        best = int(np.argmax(counts))  # keys come sorted, so a tie goes to the smallest sum
+        # only the modal sum is unpacked: all k of them took a (k, d) array
+        # and its temporaries, re-faulted on every call in a fresh process
+        mode = _unpack_sums(keys[best : best + 1], radix, span)[0]
+        return int(counts[best]), mode.astype(float), 1 << a.shape[1]
     if a.shape[1] > RHO_N_CAP:
         raise CapacityError(
             f"the walk over signed sums is capped at n={RHO_N_CAP}, got {a.shape[1]}; only integer"

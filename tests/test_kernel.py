@@ -90,7 +90,7 @@ def each_sum_path(monkeypatch):
             if path == "reducer":
                 patch.setattr(_kernel, "iter_sign_blocks", _no_walk)
             else:
-                patch.setattr(_kernel, "integer_sum_counts", lambda a: None)
+                patch.setattr(_kernel, "_sum_keys", lambda a: None)
             yield path
 
 
@@ -235,7 +235,7 @@ def zero_sum_recount(t):
 @pytest.mark.parametrize("share", [1.0, -1.0], ids=["filter", "dense"])
 def test_zero_sum_count_matches_a_recount(monkeypatch, share):
     # integer t walks too: the integer reducer declines here
-    monkeypatch.setattr(_kernel, "integer_sum_counts", lambda a: None)
+    monkeypatch.setattr(_kernel, "_sum_keys", lambda a: None)
     monkeypatch.setattr(_kernel, "_FILTER_SHARE", share)
     rng = np.random.default_rng(6)
     for n in (1, 2, 9, 13, 14, 16, 24):
@@ -265,7 +265,7 @@ def walk_histogram(a):
 
 def walked(monkeypatch, fn, *args):
     with monkeypatch.context() as patch:
-        patch.setattr(_kernel, "integer_sum_counts", lambda a: None)
+        patch.setattr(_kernel, "_sum_keys", lambda a: None)
         return fn(*args)
 
 
