@@ -683,8 +683,7 @@ def modal_signed_sum(a: np.ndarray, group_tol: float) -> tuple[int, np.ndarray, 
         # raises where the walk's keys would: row r's largest |sum| is S_r
         grid_keys(np.abs(a).sum(axis=1), group_tol)
         best = int(np.argmax(counts))  # keys come sorted, so a tie goes to the smallest sum
-        # only the modal sum is unpacked: all k of them took a (k, d) array
-        # and its temporaries, re-faulted on every call in a fresh process
+        # only the modal sum is unpacked, not a (k, d) array of all of them
         mode = _unpack_sums(keys[best : best + 1], radix, span)[0]
         return int(counts[best]), mode.astype(float), 1 << a.shape[1]
     if a.shape[1] > RHO_N_CAP:
