@@ -139,17 +139,16 @@ def sign_walk(m: np.ndarray, *, half: bool = False, members: bool = False
     return low, offsets
 
 
-def _doubling(cols: np.ndarray, clear: float, flip: float) -> np.ndarray:
-    """Per bitmask ``k`` of ``cols``' coordinates, column ``k``: the sum
-    over ``j`` of ``flip`` (bit ``j`` set) or ``clear`` times column ``j``.
-    For each ``j`` in order, the new upper half is the lower half plus
-    ``flip`` times column ``j``, then the lower half adds ``clear`` times
-    it."""
-    table = np.zeros((cols.shape[0], 1 << cols.shape[1]))
-    for j in range(cols.shape[1]):
+def _doubling(a: np.ndarray, clear: float, flip: float) -> np.ndarray:
+    """Per bitmask ``k`` of ``a``'s columns, column ``k``: the sum over
+    ``j`` of ``flip`` (bit ``j`` set) or ``clear`` times column ``j``.  For
+    each ``j`` in order, the new upper half is the lower half plus ``flip``
+    times column ``j``, then the lower half adds ``clear`` times it."""
+    table = np.zeros((a.shape[0], 1 << a.shape[1]))
+    for j in range(a.shape[1]):
         size = 1 << j
-        np.add(table[:, :size], flip * cols[:, j, None], out=table[:, size:2 * size])
-        table[:, :size] += clear * cols[:, j, None]
+        np.add(table[:, :size], flip * a[:, j, None], out=table[:, size:2 * size])
+        table[:, :size] += clear * a[:, j, None]
     return table
 
 
@@ -204,11 +203,10 @@ def count_signs(m: np.ndarray, hit: Callable, mode: str = "exact", samples: int 
     those are checked, may give that count without the images, or ``None``
     for the engine to count it.
     """
-    draws = check_mode(mode, samples, seed)
+    draws = check_mode(mode, samples, seed, threads)
     if draws is None:
         return 2 * half_cube_hits(m, hit), 1 << m.shape[1], 0.0
-    samples, seed = draws
-    threads = check_int(threads, "threads", 1)
+    samples, seed, threads = draws
     hits = None if mc_hits is None else mc_hits(samples, seed, threads)
     if hits is None:
         hits = int(sum(mc_sign_blocks(m, samples, seed, lambda y, _: int(np.count_nonzero(hit(y))), threads)))
@@ -331,17 +329,16 @@ def _ranges(begin: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return owner // begin.shape[1], pos
 
 
-def rank_one_window_hits(cols: np.ndarray, signs: np.ndarray, u: np.ndarray, v: np.ndarray,
-                         bound: np.ndarray, window: Window) -> int | None:
-    """Hits of ``window`` over all of ``{-1,+1}^n`` for ``M = S P + u v^T``
-    without the walk, or ``None`` where :func:`rank_one_table` declines.
+def rank_one_window_hits(w: np.ndarray, v: np.ndarray, b: np.ndarray, window: Window) -> int | None:
+    """Hits of ``window`` over all of ``{-1,+1}^n`` for the split ``(w, v,
+    b)`` without the walk, or ``None`` where :func:`rank_one_table` declines.
 
     The hits with a live value of ``z = v . x`` are the sign choices with
     ``v . x = z``, read from the histogram of the coordinates free to take
     either sign.  One histogram serves every ``z`` with the same free
     coordinates.
     """
-    table = rank_one_table(cols, signs, u, v, bound, window)
+    table = rank_one_table(w, v, b, window)
     if table is None:
         return None
     z, plus, minus = table
@@ -357,48 +354,42 @@ def rank_one_window_hits(cols: np.ndarray, signs: np.ndarray, u: np.ndarray, v: 
     return hits
 
 
-def rank_one_table(cols: np.ndarray, signs: np.ndarray, u: np.ndarray, v: np.ndarray,
-                   bound: np.ndarray, window: Window) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+def rank_one_table(w: np.ndarray, v: np.ndarray, b: np.ndarray,
+                   window: Window) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """The signs that ``window`` allows each coordinate, per value of ``z =
-    v . x``, for ``M = S P + u v^T``; ``None`` where it declines.
+    v . x``, for the split ``(w, v, b)``; ``None`` where it declines.
 
-    Row ``i`` of ``S P`` holds ``signs[i]`` in column ``cols[i]``, a
-    permutation, and ``v`` is an ``int64`` vector.  Then ``(Mx)_i =
-    signs[i] x[cols[i]] + u[i] z``, so for each value of ``z`` that
-    :func:`integer_sum_counts` finds, the window decides which signs each
-    coordinate may take.  Returns ``(z, plus, minus)`` for the live values
-    alone, those where every coordinate may take some sign: ``plus[k, j]``
-    (``minus[k, j]``) says whether coordinate ``j`` may be +1 (-1) when
-    ``v . x = z[k]``.  A vector is a hit exactly when its ``z`` is live and
-    each of its signs is allowed.
+    The row holding coordinate ``j`` has ``|(Mx)_i| = |x_j + w_j z|``, so for
+    each value of ``z`` that :func:`integer_sum_counts` finds, the window
+    decides which signs each coordinate may take.  Returns ``(z, plus,
+    minus)`` for the live values alone, those where every coordinate may
+    take some sign: ``plus[k, j]`` (``minus[k, j]``) says whether coordinate
+    ``j`` may be +1 (-1) when ``v . x = z[k]``.  A vector is a hit exactly
+    when its ``z`` is live and each of its signs is allowed.
 
-    ``bound[i]`` bounds how far a distance evaluated here may lie from the
-    one the walk or :func:`mc_sign_blocks` would decide row ``i`` on.  Where
-    any lies within it of ``tol`` the answer is ``None``, so every vector is
-    decided as they decide it.  It is also ``None`` where the histogram
-    declines or the table of distances, one per value of ``z`` and row,
-    would pass :data:`_INTEGER_STATES` entries.
+    Where any distance lies within ``b_j`` of ``tol`` the answer is
+    ``None``, so every vector is decided as the walk or
+    :func:`mc_sign_blocks` decides it.  It is also ``None`` where the
+    histogram declines or the table of distances, one per value of ``z`` and
+    coordinate, would pass :data:`_INTEGER_STATES` entries.
     """
     found = integer_sum_counts(v[None, :])
     if found is None or found[0].size * v.size > _INTEGER_STATES:
         return None
     z = found[0][:, 0]
-    shift = np.multiply.outer(z.astype(float), u)
-    dist = np.stack([window.distance(shift + 1.0), window.distance(shift - 1.0)])  # signs[i] x[cols[i]] = +1, -1
-    if np.any(np.abs(dist - window.tol) <= bound):
+    shift = np.multiply.outer(z.astype(float), w)
+    dist = np.stack([window.distance(shift + 1.0), window.distance(shift - 1.0)])  # x_j = +1, -1
+    if np.any(np.abs(dist - window.tol) <= b):
         return None
-    ok = dist <= window.tol
-    plus, minus = np.empty_like(ok[0]), np.empty_like(ok[0])  # coordinate j may be +1, -1
-    plus[:, cols] = np.where(signs > 0, ok[0], ok[1])
-    minus[:, cols] = np.where(signs > 0, ok[1], ok[0])
+    plus, minus = dist <= window.tol  # coordinate j may be +1, -1
     live = (plus | minus).all(axis=1)
     return z[live], plus[live], minus[live]
 
 
-def rank_one_mc_hits(cols: np.ndarray, signs: np.ndarray, u: np.ndarray, v: np.ndarray, bound: np.ndarray,
-                     window: Window, samples: int, seed: int, threads: int = 1) -> int | None:
-    """Hits of ``window`` among the Monte Carlo samples of ``M = S P + u
-    v^T``, decided from each sample's sign bits, or ``None`` where it
+def rank_one_mc_hits(w: np.ndarray, v: np.ndarray, b: np.ndarray, window: Window, samples: int, seed: int,
+                     threads: int = 1) -> int | None:
+    """Hits of ``window`` among the Monte Carlo samples of the split ``(w,
+    v, b)``, decided from each sample's sign bits, or ``None`` where it
     declines.
 
     The samples are :func:`mc_sign_blocks`' draws, and :func:`rank_one_table`
@@ -413,7 +404,7 @@ def rank_one_mc_hits(cols: np.ndarray, signs: np.ndarray, u: np.ndarray, v: np.n
     ``10 n`` live values, and the engine overtook it past about ``18 n``
     where most of them fix a coordinate, ``30 n`` where none does.
     """
-    table = rank_one_table(cols, signs, u, v, bound, window)
+    table = rank_one_table(w, v, b, window)
     if table is None or table[0].size > 8 * v.size:
         return None
     zs, plus, minus = table
@@ -422,7 +413,7 @@ def rank_one_mc_hits(cols: np.ndarray, signs: np.ndarray, u: np.ndarray, v: np.n
     # q and every partial sum of it lie in [-sum|v|, sum|v|]: the smallest
     # signed type holding -sum|v| - 1 holds +sum|v| too
     key = np.min_scalar_type(-int(np.abs(v).sum()) - 1)
-    weights = [(key.type(w), np.flatnonzero(v == w)) for w in sorted(set(v.tolist()) - {0})]
+    weights = [(key.type(c), np.flatnonzero(v == c)) for c in sorted(set(v.tolist()) - {0})]
     total = int(v.sum())
     live = []  # per live z: its q, the coordinates with one allowed sign and the bit each needs
     for k, z in enumerate(zs.tolist()):
@@ -431,8 +422,8 @@ def rank_one_mc_hits(cols: np.ndarray, signs: np.ndarray, u: np.ndarray, v: np.n
 
     def block_hits(bits: np.ndarray) -> int:
         q = np.zeros(bits.shape[1], key)
-        for w, rows in weights:
-            q += (bits if rows.size == n else bits[rows]).sum(axis=0, dtype=np.uint8).astype(key) * w
+        for weight, rows in weights:
+            q += (bits if rows.size == n else bits[rows]).sum(axis=0, dtype=np.uint8).astype(key) * weight
         hits = 0
         for qk, fixed, need in live:
             if fixed.size == 0:
@@ -445,32 +436,26 @@ def rank_one_mc_hits(cols: np.ndarray, signs: np.ndarray, u: np.ndarray, v: np.n
     return int(sum(mc_bit_blocks(samples, n, seed, block_hits, threads)))
 
 
-def rank_one_classes(cols: np.ndarray, signs: np.ndarray, u: np.ndarray, v: np.ndarray) -> list[np.ndarray]:
+def rank_one_classes(w: np.ndarray, v: np.ndarray) -> list[np.ndarray]:
     """The coordinates of each class of :func:`rank_one_product_table`, in
-    :func:`group_rows` order: with ``w[cols[i]] = signs[i] u[i]``, coordinates
-    with equal ``(v_j, w_j)``."""
-    w = np.empty(v.size)
-    w[cols] = signs * u
+    :func:`group_rows` order: coordinates with equal ``(v_j, w_j)``."""
     order, starts = group_rows(np.column_stack([v.astype(float), w]))
     return np.split(order, starts[1:])
 
 
-def rank_one_product_table(classes: list[np.ndarray], cols: np.ndarray, signs: np.ndarray, u: np.ndarray,
-                           v: np.ndarray, bound: np.ndarray, theta: float
-                           ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Whether ``prod_i |(Mx)_i| >= theta`` for ``M = S P + u v^T``, per
+def rank_one_product_table(classes: list[np.ndarray], w: np.ndarray, v: np.ndarray, b: np.ndarray,
+                           theta: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """Whether ``prod_i |(Mx)_i| >= theta`` for the split ``(w, v, b)``, per
     count of minus signs in each class of coordinates; ``None`` where it
     declines.
 
-    With ``S P``, ``v`` and ``bound`` as in :func:`rank_one_table`, write
-    ``w[cols[i]] = signs[i] u[i]`` and ``z = v . x``.  Then ``|(Mx)_i|`` is
-    ``|1 + w_j z|`` where ``x_j = +1`` and ``|1 - w_j z|`` where ``x_j =
-    -1``, ``j = cols[i]``, so coordinates with equal ``(v_j, w_j)`` form one
-    class and may be swapped freely; ``classes`` holds each class's
-    coordinates (:func:`rank_one_classes`).  Taking ``k_c`` minus signs among
-    the ``n_c`` coordinates of each class ``c`` gives ``z = sum_c v_c (n_c -
-    2 k_c)``, the product ``prod_c |1 + w_c z|^(n_c - k_c) |1 - w_c
-    z|^k_c``, and ``prod_c C(n_c, k_c)`` vectors.
+    With ``z = v . x``, ``|(Mx)_i|`` is ``|1 + w_j z|`` where ``x_j = +1``
+    and ``|1 - w_j z|`` where ``x_j = -1``, so coordinates with equal ``(v_j,
+    w_j)`` form one class and may be swapped freely; ``classes`` holds each
+    class's coordinates (:func:`rank_one_classes`).  Taking ``k_c`` minus
+    signs among the ``n_c`` coordinates of each class ``c`` gives ``z =
+    sum_c v_c (n_c - 2 k_c)``, the product ``prod_c |1 + w_c z|^(n_c - k_c)
+    |1 - w_c z|^k_c``, and ``prod_c C(n_c, k_c)`` vectors.
 
     Returns ``(hit, counts)``: per choice of the ``k_c``, whether its product
     clears ``theta`` and how many vectors make it.  Choice ``(k_c)`` has the
@@ -484,7 +469,7 @@ def rank_one_product_table(classes: list[np.ndarray], cols: np.ndarray, signs: n
     ``None`` where the table's factors, one per choice and coordinate, would
     pass :data:`_INTEGER_STATES`, or the products could overflow.
     """
-    # The walk (or the block product) forms each |y_i| within bound[i] of the
+    # The walk (or the block product) forms each |y_i| within b_j of the
     # |1 +- w_j z| evaluated here, so its factors lie in [lo_i, hi_i] = [|y| -
     # b, |y| + b], b the class's largest bound, and in exact arithmetic their
     # product lies in [prod lo_i, prod hi_i].  Each product of n factors
@@ -501,8 +486,6 @@ def rank_one_product_table(classes: list[np.ndarray], cols: np.ndarray, signs: n
     # rounding, the walk's product lies in [prod lo (1 - r) - a, prod hi (1 +
     # r) + a].  With 2 umax finite no partial product overflows.
     n = v.size
-    w, b = np.empty(n), np.empty(n)
-    w[cols], b[cols] = signs * u, bound
     sizes = [c.size for c in classes]
     choices = math.prod(s + 1 for s in sizes)
     if not counts_fit(n) or choices * n > _INTEGER_STATES:
@@ -822,15 +805,18 @@ def binomial_estimate(hits: int, samples: int) -> tuple[float, float]:
     return p, math.sqrt(p * (1.0 - p) / samples)
 
 
-def check_mode(mode: str, samples: int | None, seed: int | None) -> tuple[int, int] | None:
-    """``None`` in exact mode, the checked ``(samples, seed)`` pair in mc mode."""
-    if mode == "exact":
-        return None
-    if mode != "mc":
+def check_mode(mode: str, samples: int | None, seed: int | None, threads: int) -> tuple[int, int, int] | None:
+    """``None`` in exact mode, the checked ``(samples, seed, threads)`` in mc
+    mode.  Either way ``threads``, and ``samples`` and ``seed`` where given,
+    must pass their checks, before any work is done."""
+    if mode not in ("exact", "mc"):
         raise PreconditionError(f"mode must be 'exact' or 'mc', got {mode!r}")
-    if samples is None or seed is None:
+    if mode == "mc" and (samples is None or seed is None):
         raise PreconditionError("mc mode requires both samples and seed")
-    return check_int(samples, "samples", 1), check_seed(seed)
+    samples = None if samples is None else check_int(samples, "samples", 1)
+    seed = None if seed is None else check_seed(seed)
+    threads = check_int(threads, "threads", 1)
+    return (samples, seed, threads) if mode == "mc" else None
 
 
 def map_blocks(fn: Callable[[int], object], nblocks: int, threads: int = 1) -> list:
@@ -844,7 +830,6 @@ def map_blocks(fn: Callable[[int], object], nblocks: int, threads: int = 1) -> l
     CPUs)`` start.  Each block runs in a copy of the caller's context, so
     the caller's ``np.errstate`` holds there too.
     """
-    threads = check_int(threads, "threads", 1)
     if threads == 1 or nblocks <= 1:
         return [fn(i) for i in range(nblocks)]
     from concurrent.futures import ThreadPoolExecutor

@@ -110,10 +110,10 @@ def bernoulli_permanent(
     """
     arr = as_matrix(m, square=True)
     n = arr.shape[0]
-    draws = _kernel.check_mode(mode, samples, seed)
+    draws = _kernel.check_mode(mode, samples, seed, threads)
     if draws is None:
         return PermanentReport(_kernel.parity_product_sum(arr, half=True) / (1 << (n - 1)), "bernoulli_exact")
-    samples, seed = draws
+    samples, seed, threads = draws
 
     def one_block(y: np.ndarray, bits: np.ndarray) -> tuple[float, float]:
         g = np.prod(y, axis=0)
@@ -152,7 +152,7 @@ def balls_in_bins_estimate(
     the estimate stays unbiased and the thread count changes no number.
     """
     arr = check_column_stochastic(as_matrix(a, square=True), stochastic_tol)
-    samples, seed = _kernel.check_mode("mc", samples, seed)
+    samples, seed, threads = _kernel.check_mode("mc", samples, seed, threads)
     n = arr.shape[0]
     prob, alias = _alias_tables(arr)
     # Each sample marks its balls' bins in a bitmask of ceil(n/64) words.

@@ -59,10 +59,10 @@ def exact_score(m, tol: float = DEFAULT_TOLERANCES.membership_tol) -> ScoreRepor
     A vector counts as a hit when ``max_i ||(Mx)_i| - 1| <= tol``.  A signed
     permutation plus an integer rank-one term, ``M = S P + u v^T``
     (:func:`structure.perm_plus_rank_one`), is counted without the walk:
-    ``(Mx)_i = s_i x_{pi(i)} + u_i z`` with ``z = v . x``, so for each value
-    of ``z`` the rule fixes the signs each coordinate may take, and the
-    exact histogram of ``v . x`` over those signs gives the hits
-    (:func:`_kernel.rank_one_window_hits`).  That count equals the walk's:
+    per coordinate ``|(Mx)_i| = |x_j + w_j z|`` with ``z = v . x``
+    (:func:`_rank_one_split`), so for each value of ``z`` the rule fixes the
+    signs each coordinate may take, and the exact histogram of ``v . x`` over
+    those signs gives the hits (:func:`_kernel.rank_one_window_hits`).  That count equals the walk's:
     where an evaluated distance lies within a rounding bound of ``tol``, or
     the histogram declines (``n > 62`` among others), the walk runs instead,
     and so it does where its half walk is one block, ``n <= 13``.
@@ -101,18 +101,23 @@ def _table_walks(classes: list[np.ndarray]) -> bool:
 
 
 def _rank_one_split(arr: np.ndarray):
-    """``(cols, signs, u, v, bound)`` for :func:`structure.perm_plus_rank_one`'s
-    split of ``M``, or ``None`` where it has none: the input of
-    :func:`_kernel.rank_one_table`, for the exact and the Monte Carlo score."""
-    # bound[i] bounds how far a distance evaluated from the split may lie
-    # from the one that the walk or the Monte Carlo block product decides row
-    # i on.  Write S_i = sum_j |m_ij| and r_i for the row sum as numpy
-    # evaluates it.  A sum of k terms, in any order, errs by at most gamma_k =
-    # k (eps/2) / (1 - k eps/2) <= k eps times the sum of their magnitudes
-    # (Higham, Accuracy and Stability of Numerical Algorithms, ch. 4):
+    """:func:`structure.perm_plus_rank_one`'s split ``M = S P + u v^T`` of
+    ``M`` per coordinate, as ``(w, v, b)``, or ``None`` where it has none.
+
+    Row ``i`` of ``S P`` holds ``signs[i]`` in column ``j = cols[i]``; then
+    ``w_j = signs[i] u[i]`` and, with ``z = v . x``, ``|(Mx)_i| = |x_j + w_j
+    z|``.  ``b_j`` bounds how far a distance evaluated from the split may lie
+    from the one that the walk or the Monte Carlo block product decides row
+    ``i`` on.  Every rank-one rule of :mod:`_kernel` reads this form.
+    """
+    # b_j, for the row i holding coordinate j: write S_i = sum_j |m_ij| and
+    # r_i for the row sum as numpy evaluates it.  A sum of k terms, in any
+    # order, errs by at most gamma_k = k (eps/2) / (1 - k eps/2) <= k eps
+    # times the sum of their magnitudes (Higham, Accuracy and Stability of
+    # Numerical Algorithms, ch. 4):
     # - the walk forms (Mx)_i from n terms +-m_ij, and errs by gamma_n S_i;
-    # - the block product forms r_i - 2 sum_j m_ij b_j from n + 1 terms of
-    #   [-2M | r], each exact as every bit b_j is 0 or 1, and errs by
+    # - the block product forms r_i - 2 sum_j m_ij d_j from n + 1 terms of
+    #   [-2M | r], each exact as every bit d_j is 0 or 1, and errs by
     #   gamma_{n+1} (2 S_i + |r_i|), on top of r_i's own gamma_n S_i.
     # Either way add the split's error, error_i, whose sum errs by gamma_n
     # error_i, and a few roundings of the row's scale S_i + error_i + 2 +
@@ -130,8 +135,10 @@ def _rank_one_split(arr: np.ndarray):
     l1 = np.abs(arr).sum(axis=1)
     scale = l1 + error + 2.0 + np.abs(u) * float(np.abs(v).sum())
     product = (n + 1) * (2.0 * l1 + np.abs(arr.sum(axis=1)))
-    bound = error + np.finfo(float).eps * ((n + 4) * scale + product)
-    return cols, signs, u, v, bound
+    w, b = np.empty(n), np.empty(n)
+    w[cols] = signs * u
+    b[cols] = error + np.finfo(float).eps * ((n + 4) * scale + product)
+    return w, v, b
 
 
 def exact_hit_indices(m, tol: float = DEFAULT_TOLERANCES.membership_tol) -> np.ndarray:
@@ -203,31 +210,32 @@ def threshold_score(
     arr = as_matrix(m, square=True)
     if not (_is_number(theta) and 0.0 < theta <= 1.0):
         raise PreconditionError(f"theta must lie in (0, 1], got {theta!r}")
+    exact = _kernel.check_mode(mode, samples, seed, threads) is None
 
     def clears(y: np.ndarray) -> np.ndarray:
         return np.prod(np.abs(y, out=y), axis=0) >= theta
 
-    def table(split, exact: bool):
+    def table(split):
         # (classes, hit, counts) of the split's threshold table, or None
         if split is None:
             return None
-        classes = _kernel.rank_one_classes(*split[:4])
+        classes = _kernel.rank_one_classes(*split[:2])
         if exact and _table_walks(classes):
             return None
         found = _kernel.rank_one_product_table(classes, *split, theta)
         return None if found is None else (classes, *found)
 
     def structured(samples: int, seed: int, threads: int) -> int | None:
-        found = table(_rank_one_split(arr), exact=False)
+        found = table(_rank_one_split(arr))
         return None if found is None else _kernel.class_count_hits(*found[:2], samples, seed, threads)
 
-    found = table(_exact_split(arr), exact=True) if mode == "exact" else None
+    found = table(_exact_split(arr)) if exact else None
     if found is not None:
         _, hit, counts = found
         hits, total, stderr = int(counts[hit].sum()), 1 << arr.shape[0], 0.0
     else:
         hits, total, stderr = _kernel.count_signs(arr, clears, mode, samples, seed, threads, structured)
-    method = "exact" if mode == "exact" else "monte_carlo"
+    method = "exact" if exact else "monte_carlo"
     return ThresholdScoreReport(hits, total, hits / total, stderr, method, 0.0, float(theta))
 
 

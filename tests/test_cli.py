@@ -522,6 +522,13 @@ REFUSED_CASES = {
     "fit-map-shapes-differ": (["fit-map", "--x-file", "{x}", "--y-file", "{d}"], "PreconditionError"),
     "header-not-integers": (["score-exact", "--matrix", "{header_text}"], "ParseError"),
     "header-not-positive": (["score-exact", "--matrix", "{header_zero}"], "ParseError"),
+    # exact mode checks the Monte Carlo flags it is given, as mc mode does
+    "threshold-exact-threads-zero": (
+        ["threshold-score", "--matrix", "{reflected}", "--theta", "0.25", "--threads", "0"], "PreconditionError"),
+    "bernoulli-exact-threads-negative": (
+        ["perm-bernoulli", "--matrix", "{reflected}", "--threads", "-3"], "PreconditionError"),
+    "bernoulli-exact-samples-zero": (
+        ["perm-bernoulli", "--matrix", "{reflected}", "--samples", "0"], "PreconditionError"),
 }
 
 

@@ -220,16 +220,27 @@ def _rejection_cases():
     d = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     mc_entry_points = {
         "mc_score": lambda samples, seed, threads: mc_score(eye, samples, seed, threads=threads),
+        "threshold_mc": lambda samples, seed, threads: threshold_score(eye, 0.5, "mc", samples, seed, threads),
         "bernoulli_mc": lambda samples, seed, threads: bernoulli_permanent(eye, "mc", samples, seed, threads),
         "bins": lambda samples, seed, threads: balls_in_bins_estimate(uniform, samples, seed, threads),
     }
+    bad_draws = [("seed", -1), ("seed", 1.5), ("seed", True), ("seed", 2**128),
+                 ("samples", 0), ("samples", 2.5), ("samples", True),
+                 ("threads", 0), ("threads", 1.0), ("threads", True), ("threads", "x")]
     cases = []
     for name, call in mc_entry_points.items():
-        for flag, bad in [("seed", -1), ("seed", 1.5), ("seed", True), ("seed", 2**128),
-                          ("samples", 0), ("samples", 2.5), ("samples", True),
-                          ("threads", 0), ("threads", 1.0), ("threads", True)]:
+        for flag, bad in bad_draws:
             args = {"samples": 100, "seed": 1, "threads": 1, flag: bad}
             cases.append((f"{name}-{flag}={bad!r}", lambda call=call, args=args: call(**args),
+                          PreconditionError))
+    # exact mode checks each of these that is given, by the same rule
+    exact_entry_points = {
+        "threshold_exact": lambda **args: threshold_score(eye, 0.5, **args),
+        "bernoulli_exact": lambda **args: bernoulli_permanent(eye, **args),
+    }
+    for name, call in exact_entry_points.items():
+        for flag, bad in bad_draws:
+            cases.append((f"{name}-{flag}={bad!r}", lambda call=call, args={flag: bad}: call(**args),
                           PreconditionError))
     for bad in (-1, 1.5, True, 2**128):
         cases.append((f"gap_perturbed-seed={bad!r}", lambda bad=bad: gap_perturbed_selector(np.eye(4), gap, bad),

@@ -490,6 +490,15 @@ def test_the_split_reads_an_integer_t_with_a_unit_entry(rng):
     assert abs(v[0]) == 1 and (v / v[0]).tolist() == t.tolist()
     assert np.abs(np.outer(u, v) - (m - np.eye(70))).max() <= 1e-15
     assert error.max() <= 1e-14
+    # signed-permuted rows, at an n the split takes (n <= 62): it puts row
+    # i's term at coordinate cols[i]
+    m = signed_rows(rng, rank_one_orthogonal(20, np.r_[1.0, rng.choice([-1.0, 1.0], size=19)]).matrix)
+    cols, signs, u, v, error = perm_plus_rank_one(m)
+    assert sorted(cols.tolist()) == list(range(20)) and sorted(set(signs.tolist())) == [-1, 1]
+    w, v_split, b = score._rank_one_split(m)
+    assert np.array_equal(w[cols], signs * u)
+    assert np.array_equal(v_split, v)
+    assert np.all(b[cols] >= error)
 
 
 def test_exact_score_and_decompose_leave_scipy_and_numpy_ma_unloaded():
@@ -695,7 +704,7 @@ def product_table(m, theta):
     split = score._rank_one_split(m)
     if split is None:
         return None
-    return _kernel.rank_one_product_table(_kernel.rank_one_classes(*split[:4]), *split, theta)
+    return _kernel.rank_one_product_table(_kernel.rank_one_classes(*split[:2]), *split, theta)
 
 
 @pytest.fixture
@@ -722,7 +731,7 @@ def test_threshold_table_matches_the_walk_for_every_small_n(rng, tables):
             cases.append(("rank one", signed_rows(rng, rank_one_orthogonal(n, t).matrix)))
         for kind, m in cases:
             split = score._rank_one_split(m)
-            classes = None if split is None else _kernel.rank_one_classes(*split[:4])
+            classes = None if split is None else _kernel.rank_one_classes(*split[:2])
             built = n > _kernel.LOW_BITS + 1 and split is not None and not score._table_walks(classes)
             for theta in THETAS:
                 walked = threshold_walk(m, theta)
@@ -819,8 +828,8 @@ def test_a_theta_inside_the_rounding_slack_declines():
     # them and the widened ends declines
     n = 16
     m = reflected_ones(n)
-    cols, signs, u, v, bound = score._rank_one_split(m)
-    b, w = bound.max(), signs[0] * u[0]
+    w, _, b = score._rank_one_split(m)
+    b, w = b.max(), w[0]
     for k in (2, 6, 7):
         z = float(n - 2 * k)
         plus, minus = abs(1.0 + w * z), abs(1.0 - w * z)
@@ -855,7 +864,7 @@ def test_exact_threshold_walks_where_the_table_has_more_factors_than_the_half_wa
     # walk's 32,768 vectors: exact mode walks, mc mode still builds it
     m = np.eye(16) + 0.01 * np.outer(np.ones(16), np.r_[np.arange(1.0, 13), np.ones(4)])
     split = score._rank_one_split(m)
-    classes = _kernel.rank_one_classes(*split[:4])
+    classes = _kernel.rank_one_classes(*split[:2])
     assert (len(classes), math.prod(c.size + 1 for c in classes)) == (13, 20480)
     assert score._table_walks(classes)
     walks = results_of(monkeypatch, "count_signs")
@@ -869,4 +878,4 @@ def test_exact_threshold_walks_where_the_table_has_more_factors_than_the_half_wa
     threshold_score(m, 0.5, mode="mc", samples=1000, seed=1)
     assert len(tables) == 1 and tables[0] is not None
     # the benchmark's reflection at n=20: 21 choices of 20 factors
-    assert not score._table_walks(_kernel.rank_one_classes(*score._rank_one_split(reflected_ones(20))[:4]))
+    assert not score._table_walks(_kernel.rank_one_classes(*score._rank_one_split(reflected_ones(20))[:2]))
